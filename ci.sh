@@ -19,6 +19,12 @@ cargo clippy -p tpi-dfa --all-targets -- -D warnings
 echo "== tier-1 tests (root package) =="
 cargo test -q
 
+echo "== perfbench tests, ignored ones included (public API the benchmark drives) =="
+# perfbench is its own workspace: a public-API deletion that breaks the
+# benchmark, or a regression of the re-drawn s15850 TPGREED run, fails
+# here instead of in the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -- --include-ignored
+
 echo "== cargo doc (no deps, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
@@ -52,14 +58,11 @@ wait "$NETD_PID"
 grep -q "drained and stopped" "$SMOKE/netd.log"
 # Network batch mode: 4 clients against a capped in-process server,
 # byte-identical to the cold in-process payloads. The default drive is
-# v2 sequential sessions; --wire-v1 and --pipeline cover the legacy
-# client path and the many-in-flight v2 path, and all three must agree
-# byte for byte (each run keeps the in-flight cap low enough to
-# exercise its Busy/backpressure path).
+# sequential sessions; --pipeline covers the many-in-flight path, and
+# both must agree byte for byte (each run keeps the in-flight cap low
+# enough to exercise its Busy/backpressure path).
 "$BATCH" --jobs 4 --out "$SMOKE/net" "$SMOKE/work"
 diff -r "$SMOKE/net" "$SMOKE/cold"
-"$BATCH" --jobs 4 --wire-v1 --out "$SMOKE/net-v1" "$SMOKE/work"
-diff -r "$SMOKE/net-v1" "$SMOKE/net"
 "$BATCH" --jobs 4 --pipeline --out "$SMOKE/net-pipe" "$SMOKE/work"
 diff -r "$SMOKE/net-pipe" "$SMOKE/net"
 
@@ -122,7 +125,7 @@ echo "== tpi-bench --large: gen50k lane-engine gates (emits BENCH_PR6.json) =="
 # regression this PR fixes).
 "$BENCH" --large --emit-bench BENCH_PR6.json
 
-echo "== tpi-bench --net: v1 vs v2 loopback throughput (emits BENCH_PR9.json) =="
+echo "== tpi-bench --net: sequential vs pipelined session loopback throughput (emits BENCH_PR9.json) =="
 # The 1k-connection thread-bound + Busy/backpressure test itself runs in
 # the tier-1 suite above (tests/net.rs); this produces the req/s numbers.
 "$BENCH" --net --emit-bench BENCH_PR9.json

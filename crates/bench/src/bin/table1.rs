@@ -7,9 +7,10 @@
 //! count — only the CPU column changes.)
 
 use std::time::Instant;
-use tpi_bench::{render_table1_comparison, Cli};
+use tpi_bench::render_table1_comparison;
 use tpi_core::flow::FullScanFlow;
 use tpi_core::FlowOptions;
+use tpi_net::cli::Cli;
 use tpi_workloads::{generate, suite};
 
 fn main() {

@@ -5,7 +5,8 @@
 //! (`--threads 0` = all hardware threads, default 1; rows are computed
 //! concurrently but always print in suite order.)
 
-use tpi_bench::{Cli, PAPER_TABLE2};
+use tpi_bench::PAPER_TABLE2;
+use tpi_net::cli::Cli;
 use tpi_netlist::{NetlistStats, TechLibrary};
 use tpi_par::Threads;
 use tpi_sta::{ClockConstraint, Sta};

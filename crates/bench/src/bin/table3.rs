@@ -6,9 +6,10 @@
 //! identical for every thread count.)
 
 use std::time::Instant;
-use tpi_bench::{Cli, PAPER_TABLE3};
+use tpi_bench::PAPER_TABLE3;
 use tpi_core::flow::{PartialScanFlow, PartialScanMethod};
 use tpi_core::FlowOptions;
+use tpi_net::cli::Cli;
 use tpi_workloads::{generate, suite};
 
 fn main() {

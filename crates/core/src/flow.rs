@@ -10,11 +10,11 @@
 
 use crate::input_assign::assign_inputs;
 use crate::options::FlowOptions;
-use crate::paths::enumerate_paths_with;
+use crate::paths::{enumerate_paths_with, PathSet};
 use crate::phases;
 use crate::progress::{CancelKind, Canceled, CounterSnapshot, Progress};
 use crate::report::{Table1Row, Table3Row};
-use crate::tpgreed::{verify_outcome, GainModel, TpGreed, TpGreedConfig};
+use crate::tpgreed::{verify_outcome, GainModel, TpGreed, TpGreedConfig, TpGreedOutcome};
 use crate::tptime::{ScanPlan, ScanPlanner};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -60,8 +60,8 @@ impl fmt::Display for FlushFailure {
     }
 }
 
-/// Errors from the checked flow entry points ([`FullScanFlow::run_checked`],
-/// [`PartialScanFlow::run_checked`]).
+/// Errors from the fallible flow entry points ([`FullScanFlow::run_with`],
+/// [`PartialScanFlow::run_with`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowError {
     /// The run was stopped at an iteration boundary by its [`Progress`]
@@ -79,6 +79,11 @@ pub enum FlowError {
     /// sequential element to thread, so a combinational-only design has
     /// nothing to scan. A user error, not a flow bug.
     NoFlipFlops,
+    /// TPGREED's selection failed [`verify_outcome`]: a reported scan
+    /// path is not sensitized by the chosen test points, or the scan
+    /// edges are not vertex-disjoint simple paths. A TPGREED defect;
+    /// carries the first violation found.
+    UnverifiableOutcome(String),
 }
 
 impl fmt::Display for FlowError {
@@ -101,6 +106,9 @@ impl fmt::Display for FlowError {
             FlowError::NoFlipFlops => {
                 write!(f, "netlist has no flip-flops: nothing to thread a scan chain through")
             }
+            FlowError::UnverifiableOutcome(why) => {
+                write!(f, "TPGREED produced an unverifiable outcome: {why}")
+            }
         }
     }
 }
@@ -117,6 +125,13 @@ fn check_claims(
         return Err(FlowError::Verification(diags));
     }
     Ok(())
+}
+
+/// Re-verifies TPGREED's selection from scratch before the flow builds
+/// on it; a violation is a TPGREED defect, reported as
+/// [`FlowError::UnverifiableOutcome`].
+fn check_outcome(n: &Netlist, paths: &PathSet, outcome: &TpGreedOutcome) -> Result<(), FlowError> {
+    verify_outcome(n, paths, outcome).map_err(FlowError::UnverifiableOutcome)
 }
 
 impl std::error::Error for FlowError {}
@@ -177,16 +192,6 @@ impl Default for FullScanFlow {
     }
 }
 
-impl FullScanFlow {
-    /// Sets the worker-thread knob (`0` = all hardware threads). Results
-    /// are identical for every setting; see [`TpGreedConfig::threads`].
-    #[deprecated(since = "0.2.0", note = "use `FlowOptions::with_threads` with `run_with`")]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-}
-
 /// Everything the full-scan flow produces.
 #[derive(Debug)]
 pub struct FullScanResult {
@@ -217,8 +222,8 @@ impl FullScanFlow {
     /// Panics if the netlist has no flip-flops (a user error — the
     /// fallible [`run_with`](Self::run_with) reports it as
     /// [`FlowError::NoFlipFlops`]), if the netlist is invalid (validate
-    /// first), or if internal verification of the produced scan
-    /// structure fails — the latter two indicate bugs.
+    /// first), or if TPGREED's selection or the produced scan structure
+    /// fails verification — the latter two indicate bugs.
     pub fn run(&self, n: &Netlist) -> FullScanResult {
         assert!(
             !n.dffs().is_empty(),
@@ -231,7 +236,7 @@ impl FullScanFlow {
             self.config.threads,
             self.config.gain_model,
         )
-        .expect("a fresh Progress never cancels")
+        .unwrap_or_else(|e| panic!("full-scan flow failed: {e}"))
     }
 
     /// The canonical fallible entry point: runs the flow under `opts`.
@@ -266,16 +271,6 @@ impl FullScanFlow {
         Ok(r)
     }
 
-    /// Like [`run`](Self::run), but cooperative and fallible.
-    #[deprecated(since = "0.2.0", note = "use `run_with` with `FlowOptions::with_progress`")]
-    pub fn run_checked(
-        &self,
-        n: &Netlist,
-        progress: &Arc<Progress>,
-    ) -> Result<FullScanResult, FlowError> {
-        self.run_with(n, &FlowOptions::new().with_progress(Arc::clone(progress)))
-    }
-
     fn run_impl(
         &self,
         n: &Netlist,
@@ -283,7 +278,7 @@ impl FullScanFlow {
         rec: &Recorder,
         threads: usize,
         gain_model: GainModel,
-    ) -> Result<FullScanResult, Canceled> {
+    ) -> Result<FullScanResult, FlowError> {
         progress.checkpoint()?;
         {
             let _s = rec.span(phases::ANALYSIS);
@@ -311,7 +306,7 @@ impl FullScanFlow {
                 .with_progress(Arc::clone(progress))
                 .try_run_with_paths()?
         };
-        verify_outcome(n, &paths, &outcome).expect("TPGREED must produce a verifiable outcome");
+        check_outcome(n, &paths, &outcome)?;
         let assignment = {
             let _s = rec.span(phases::INPUT_ASSIGN);
             assign_inputs(n, &paths, &outcome)
@@ -472,13 +467,6 @@ impl PartialScanFlow {
     pub fn new(method: PartialScanMethod) -> Self {
         PartialScanFlow { method, lib: TechLibrary::paper(), threads: 1 }
     }
-
-    /// Sets the worker-thread knob (`0` = all hardware threads).
-    #[deprecated(since = "0.2.0", note = "use `FlowOptions::with_threads` with `run_with`")]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
 }
 
 /// What one `selection_loop` round did: the flip-flop it scanned (if
@@ -557,16 +545,6 @@ impl PartialScanFlow {
         let mut r = outcome?;
         r.metrics = rec.finish();
         Ok(r)
-    }
-
-    /// Like [`run`](Self::run), but cooperative and fallible.
-    #[deprecated(since = "0.2.0", note = "use `run_with` with `FlowOptions::with_progress`")]
-    pub fn run_checked(
-        &self,
-        n: &Netlist,
-        progress: &Arc<Progress>,
-    ) -> Result<PartialScanResult, FlowError> {
-        self.run_with(n, &FlowOptions::new().with_progress(Arc::clone(progress)))
     }
 
     fn run_impl(
@@ -1060,20 +1038,18 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_forwarders_still_work() {
+    fn unverifiable_tpgreed_outcome_is_a_typed_error() {
+        // Drop every test point from a good selection: each scan path
+        // that needed one now has an X side input, which the flow must
+        // report as an error rather than panic on.
         let n = mixed_circuit();
-        let progress = Arc::new(Progress::new());
-        let full = FullScanFlow::default()
-            .with_threads(2)
-            .run_checked(&n, &progress)
-            .expect("forwarder reaches run_with");
-        assert!(full.flush.passed());
-        let tp = PartialScanFlow::new(PartialScanMethod::TpTime)
-            .with_threads(2)
-            .run_checked(&n, &Arc::new(Progress::new()))
-            .expect("forwarder reaches run_with");
-        assert!(tp.acyclic);
+        let (mut outcome, paths) = TpGreed::new(&n, TpGreedConfig::default()).run_with_paths();
+        assert!(!outcome.test_points.is_empty(), "f2->f3 needs en = 1");
+        outcome.test_points.clear();
+        let err = check_outcome(&n, &paths, &outcome)
+            .expect_err("an unsensitized scan path cannot verify");
+        assert!(matches!(&err, FlowError::UnverifiableOutcome(why) if why.contains("carries X")));
+        assert!(err.to_string().starts_with("TPGREED produced an unverifiable outcome: path "));
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //!
 //! §III.C notes the full gain recomputation after each insertion is
 //! expensive and suggests an incremental alternative; both are available
-//! via [`GainUpdate`] and produce identical selections (see the
-//! `ablation_gain` bench and the equivalence tests).
+//! via [`GainUpdate`]. The paper expects identical selections. Here they
+//! agree on most circuits but not all: on the calibrated `s38417` some
+//! cached incremental gains go stale and the selections part at test
+//! point 200 (both still verify; see the ignored
+//! `incremental_matches_full_on_calibrated_suite` test).
 //!
 //! The candidate-gain sweep itself runs on one of two interchangeable
 //! engines (see [`SweepEngine`]): the scalar `preview_force` round trip,
@@ -46,7 +49,8 @@ pub enum GainUpdate {
     Full,
     /// Only recompute candidates whose implication cone or touched paths
     /// were affected by the last insertion — the paper's proposed
-    /// improvement. Selections are identical to [`GainUpdate::Full`].
+    /// improvement. Selections usually equal [`GainUpdate::Full`]'s but
+    /// can diverge where a cached gain goes stale (see the module docs).
     #[default]
     Incremental,
 }
@@ -887,7 +891,12 @@ impl<'a> TpGreed<'a> {
         // which pins down the old class; paths already dead accumulate
         // garbage but are skipped below.
         self.scratch.begin_batch();
+        // The watcher lists assume committed values only go X -> known.
+        // A test point that overrides an implied value can also flip or
+        // clear nets that were already known, which no watcher covers.
+        let mut overrode_known = false;
         for a in &delta {
+            overrode_known |= self.committed[a.net.index()].is_known();
             self.committed[a.net.index()] = a.value;
             if self.arena.path_relevant(a.net) {
                 for pin in self.arena.pins(a.net.index()) {
@@ -950,6 +959,9 @@ impl<'a> TpGreed<'a> {
             if changed {
                 self.mark_path_dirty(PathId(acc.path));
             }
+        }
+        if overrode_known {
+            self.dirty.fill(true);
         }
         self.establish_ready_paths();
     }

@@ -1,17 +1,9 @@
-//! The `tpi-net/v1` and `tpi-net/v2` frame codecs.
+//! The `tpi-net/v2` frame codec.
 //!
-//! A v1 message on the wire is one frame:
-//!
-//! ```text
-//! +-------+---------+------+-----------+---------+------------+
-//! | magic | version | verb | len (u32) | payload | fnv (u64)  |
-//! | TPIN  |   0x01  | u8   | LE        | len B   | LE trailer |
-//! +-------+---------+------+-----------+---------+------------+
-//! ```
-//!
-//! A v2 frame inserts a `u32` request ID between the verb and the
-//! length, so one connection can carry many in-flight requests and
-//! match each response to its request without ordering assumptions:
+//! A message on the wire is one frame. The `u32` request ID between the
+//! verb and the length lets one connection carry many in-flight
+//! requests and match each response to its request without ordering
+//! assumptions:
 //!
 //! ```text
 //! +-------+---------+------+--------------+-----------+---------+------------+
@@ -20,10 +12,8 @@
 //! +-------+---------+------+--------------+-----------+---------+------------+
 //! ```
 //!
-//! Both versions share the magic and the version byte at offset 4 —
-//! that byte is the whole negotiation: a server sniffs it on the first
-//! frame of a connection and commits the connection to the blocking v1
-//! path or the pipelined v2 path (see [`crate::server`]).
+//! Any other version byte — including the retired `tpi-net/v1`'s
+//! `0x01` — is a [`FrameError::BadVersion`].
 //!
 //! The trailer is the FNV-64 hash of the payload bytes (the same
 //! [`Fnv64`] the cache keys use) — not a security boundary, but enough
@@ -47,20 +37,14 @@ use tpi_serve::Fnv64;
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"TPIN";
 
-/// The original (blocking, one-request-at-a-time) protocol version.
-pub const VERSION: u8 = 1;
-
-/// The pipelined protocol version: every frame carries a request ID.
+/// The protocol version: every frame carries a request ID.
 pub const VERSION_V2: u8 = 2;
 
 /// Default cap on payload length (16 MiB — a BLIF netlist of several
 /// million gates fits with room to spare).
 pub const DEFAULT_MAX_FRAME: u32 = 16 << 20;
 
-/// Fixed v1 bytes before the payload: magic + version + verb + length.
-pub const HEADER_LEN: usize = 4 + 1 + 1 + 4;
-
-/// Fixed v2 bytes before the payload: magic + version + verb +
+/// Fixed bytes before the payload: magic + version + verb +
 /// request ID + length.
 pub const HEADER_LEN_V2: usize = 4 + 1 + 1 + 4 + 4;
 
@@ -79,8 +63,8 @@ pub enum Verb {
     Report = 2,
     /// Response: structured failure ([`crate::proto::ErrorInfo`] payload).
     Error = 3,
-    /// Response: the server is at its connection cap; retry later
-    /// (empty payload).
+    /// Response: the server is at its in-flight cap; retry the request
+    /// later (empty payload).
     Busy = 4,
     /// Request: server + service metrics snapshot (empty payload).
     Metrics = 5,
@@ -101,12 +85,12 @@ pub enum Verb {
     /// Response: the peer-fetch answer
     /// ([`crate::proto::CacheAnswer`] payload; a miss is a valid answer).
     CachePayload = 11,
-    /// Request (v2 only): a streaming batch of jobs
+    /// Request: a streaming batch of jobs
     /// ([`crate::proto::SubmitMany`] payload). The server answers with
     /// one [`Verb::ReportOne`] frame per job, in *completion* order,
     /// all carrying the batch frame's request ID.
     SubmitMany = 12,
-    /// Response (v2 only): one finished job out of a [`Verb::SubmitMany`]
+    /// Response: one finished job out of a [`Verb::SubmitMany`]
     /// batch ([`crate::proto::ReportOne`] payload, which names the
     /// batch index the report belongs to).
     ReportOne = 13,
@@ -201,11 +185,7 @@ impl fmt::Display for FrameError {
             }
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             FrameError::BadVersion(v) => {
-                write!(
-                    f,
-                    "unsupported protocol version {v} (this side speaks v{VERSION} and \
-                     v{VERSION_V2})"
-                )
+                write!(f, "unsupported protocol version {v} (this side speaks v{VERSION_V2})")
             }
             FrameError::Oversize { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
@@ -235,32 +215,6 @@ pub fn payload_checksum(payload: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Renders one complete frame (header + payload + trailer) as bytes.
-///
-/// Panics if `payload` exceeds `u32::MAX` bytes (no realistic payload
-/// does; the read side additionally enforces its own cap).
-pub fn encode_frame(verb: Verb, payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("payload fits in a u32 length field");
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    buf.extend_from_slice(&MAGIC);
-    buf.push(VERSION);
-    buf.push(verb as u8);
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&payload_checksum(payload).to_le_bytes());
-    buf
-}
-
-/// Writes one frame in a single `write_all` (fewer syscalls, and no
-/// interleaving hazard if a writer ever races). Returns the number of
-/// bytes put on the wire.
-pub fn write_frame(w: &mut impl Write, verb: Verb, payload: &[u8]) -> io::Result<usize> {
-    let buf = encode_frame(verb, payload);
-    w.write_all(&buf)?;
-    w.flush()?;
-    Ok(buf.len())
-}
-
 /// Reads exactly `buf.len()` bytes, mapping EOF to
 /// [`FrameError::Closed`] (nothing read yet *and* `clean_eof`) or
 /// [`FrameError::Truncated`] (mid-section).
@@ -281,42 +235,6 @@ fn read_section(r: &mut impl Read, buf: &mut [u8], clean_eof: bool) -> Result<()
         }
     }
     Ok(())
-}
-
-/// Reads one frame, enforcing `max_frame` on the declared payload
-/// length, and returns its verb and payload.
-///
-/// Validation order: magic, version, length cap, verb, then (after the
-/// payload is read) the checksum trailer — so the cheapest rejections
-/// happen before any allocation.
-pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<(Verb, Vec<u8>), FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_section(r, &mut header, true)?;
-
-    let magic: [u8; 4] = header[0..4].try_into().expect("slice length matches");
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    if header[4] != VERSION {
-        return Err(FrameError::BadVersion(header[4]));
-    }
-    let len = u32::from_le_bytes(header[6..10].try_into().expect("slice length matches"));
-    if len > max_frame {
-        return Err(FrameError::Oversize { len, max: max_frame });
-    }
-    let verb = Verb::from_u8(header[5]).ok_or(FrameError::UnknownVerb(header[5]))?;
-
-    let mut payload = vec![0u8; len as usize];
-    read_section(r, &mut payload, false)?;
-
-    let mut trailer = [0u8; TRAILER_LEN];
-    read_section(r, &mut trailer, false)?;
-    let observed = u64::from_le_bytes(trailer);
-    let expected = payload_checksum(&payload);
-    if observed != expected {
-        return Err(FrameError::BadTrailer { expected, observed });
-    }
-    Ok((verb, payload))
 }
 
 /// Renders one complete v2 frame (header + payload + trailer).
@@ -352,19 +270,14 @@ pub fn write_frame_v2(
 
 /// Validates a complete v2 header, returning `(verb, req_id, len)`.
 ///
-/// Validation order matches [`read_frame`]: magic, version, length cap,
-/// verb — the cheapest rejections first, all before any allocation.
+/// Validation order: magic, version, length cap, verb — the cheapest
+/// rejections first, all before any allocation; the checksum trailer is
+/// checked once the payload is in.
 fn parse_header_v2(
     header: &[u8; HEADER_LEN_V2],
     max_frame: u32,
 ) -> Result<(Verb, u32, u32), FrameError> {
-    let magic: [u8; 4] = header[0..4].try_into().expect("slice length matches");
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    if header[4] != VERSION_V2 {
-        return Err(FrameError::BadVersion(header[4]));
-    }
+    check_preamble(&header[..5])?;
     let req_id = u32::from_le_bytes(header[6..10].try_into().expect("slice length matches"));
     let len = u32::from_le_bytes(header[10..14].try_into().expect("slice length matches"));
     if len > max_frame {
@@ -372,6 +285,18 @@ fn parse_header_v2(
     }
     let verb = Verb::from_u8(header[5]).ok_or(FrameError::UnknownVerb(header[5]))?;
     Ok((verb, req_id, len))
+}
+
+/// Checks the magic and version in a frame's first five bytes.
+fn check_preamble(preamble: &[u8]) -> Result<(), FrameError> {
+    let magic: [u8; 4] = preamble[0..4].try_into().expect("slice length matches");
+    if magic != MAGIC {
+        return Err(FrameError::BadMagic(magic));
+    }
+    if preamble[4] != VERSION_V2 {
+        return Err(FrameError::BadVersion(preamble[4]));
+    }
+    Ok(())
 }
 
 /// Reads one v2 frame from a blocking stream, returning its verb,
@@ -405,8 +330,7 @@ pub fn read_frame_v2(
 /// is `Ok(None)` instead of a blocked thread.
 ///
 /// An error is terminal for the stream: past the first bad byte the
-/// frame boundary is gone, so the caller must close the connection
-/// (exactly the v1 one-strike contract).
+/// frame boundary is gone, so the caller must close the connection.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
     buf: Vec<u8>,
@@ -443,6 +367,11 @@ impl FrameAssembler {
     ) -> Result<Option<(Verb, u32, Vec<u8>)>, FrameError> {
         let avail = &self.buf[self.pos..];
         if avail.len() < HEADER_LEN_V2 {
+            // A foreign or retired-version peer is refused as soon as
+            // its first five bytes arrive, not after a full header.
+            if avail.len() >= 5 {
+                check_preamble(&avail[..5])?;
+            }
             return Ok(None);
         }
         let header: [u8; HEADER_LEN_V2] =
@@ -469,69 +398,69 @@ impl FrameAssembler {
 mod tests {
     use super::*;
 
-    fn roundtrip(verb: Verb, payload: &[u8]) {
-        let bytes = encode_frame(verb, payload);
-        let (v, p) = read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(v, verb);
-        assert_eq!(p, payload);
+    const ALL_VERBS: [Verb; 13] = [
+        Verb::Submit,
+        Verb::Report,
+        Verb::Error,
+        Verb::Busy,
+        Verb::Metrics,
+        Verb::MetricsReport,
+        Verb::Ping,
+        Verb::Pong,
+        Verb::Shutdown,
+        Verb::PeerFetch,
+        Verb::CachePayload,
+        Verb::SubmitMany,
+        Verb::ReportOne,
+    ];
+
+    fn read(bytes: &[u8], max_frame: u32) -> Result<(Verb, u32, Vec<u8>), FrameError> {
+        read_frame_v2(&mut &bytes[..], max_frame)
     }
 
     #[test]
-    fn all_verbs_roundtrip() {
-        for verb in [
-            Verb::Submit,
-            Verb::Report,
-            Verb::Error,
-            Verb::Busy,
-            Verb::Metrics,
-            Verb::MetricsReport,
-            Verb::Ping,
-            Verb::Pong,
-            Verb::Shutdown,
-            Verb::PeerFetch,
-            Verb::CachePayload,
-        ] {
+    fn all_verbs_roundtrip_with_any_id() {
+        for verb in ALL_VERBS {
             assert_eq!(Verb::from_u8(verb as u8), Some(verb));
-            roundtrip(verb, b"");
-            roundtrip(verb, b"hello \x00\xff frame");
+            for req_id in [0u32, 1, 7, u32::MAX] {
+                for payload in [&b""[..], b"hello \x00\xff frame"] {
+                    let bytes = encode_frame_v2(verb, req_id, payload);
+                    let got = read(&bytes, DEFAULT_MAX_FRAME).unwrap();
+                    assert_eq!(got, (verb, req_id, payload.to_vec()));
+                }
+            }
         }
     }
 
     #[test]
     fn clean_eof_is_closed_mid_frame_is_truncated() {
-        assert!(matches!(
-            read_frame(&mut [].as_slice(), DEFAULT_MAX_FRAME),
-            Err(FrameError::Closed)
-        ));
-        let bytes = encode_frame(Verb::Ping, b"xy");
+        assert!(matches!(read(&[], DEFAULT_MAX_FRAME), Err(FrameError::Closed)));
+        let bytes = encode_frame_v2(Verb::Ping, 3, b"xy");
         for cut in 1..bytes.len() {
-            let err = read_frame(&mut &bytes[..cut], DEFAULT_MAX_FRAME).unwrap_err();
+            let err = read(&bytes[..cut], DEFAULT_MAX_FRAME).unwrap_err();
             assert!(matches!(err, FrameError::Truncated { .. }), "cut at {cut}: {err}");
         }
     }
 
     #[test]
     fn bad_magic_version_verb_are_typed() {
-        let mut bytes = encode_frame(Verb::Ping, b"");
+        let mut bytes = encode_frame_v2(Verb::Ping, 1, b"");
         bytes[0] = b'X';
-        assert!(matches!(
-            read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME),
-            Err(FrameError::BadMagic(_))
-        ));
+        assert!(matches!(read(&bytes, DEFAULT_MAX_FRAME), Err(FrameError::BadMagic(_))));
 
-        let mut bytes = encode_frame(Verb::Ping, b"");
-        bytes[4] = 99;
-        assert!(matches!(
-            read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME),
-            Err(FrameError::BadVersion(99))
-        ));
+        // The retired v1 version byte is just another unsupported version.
+        for version in [1u8, 99] {
+            let mut bytes = encode_frame_v2(Verb::Ping, 1, b"");
+            bytes[4] = version;
+            assert!(matches!(
+                read(&bytes, DEFAULT_MAX_FRAME),
+                Err(FrameError::BadVersion(v)) if v == version
+            ));
+        }
 
-        let mut bytes = encode_frame(Verb::Ping, b"");
+        let mut bytes = encode_frame_v2(Verb::Ping, 1, b"");
         bytes[5] = 0xEE;
-        assert!(matches!(
-            read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME),
-            Err(FrameError::UnknownVerb(0xEE))
-        ));
+        assert!(matches!(read(&bytes, DEFAULT_MAX_FRAME), Err(FrameError::UnknownVerb(0xEE))));
     }
 
     #[test]
@@ -539,55 +468,27 @@ mod tests {
         // Header declares 1 GiB; only the header exists. The cap must
         // reject on the declared length, never try to read (or allocate)
         // the payload.
-        let mut bytes = encode_frame(Verb::Submit, b"");
-        bytes[6..10].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        let mut bytes = encode_frame_v2(Verb::Submit, 1, b"");
+        bytes[10..14].copy_from_slice(&(1u32 << 30).to_le_bytes());
         assert!(matches!(
-            read_frame(&mut bytes.as_slice(), 1024),
+            read(&bytes[..HEADER_LEN_V2], 1024),
             Err(FrameError::Oversize { len, max: 1024 }) if len == 1 << 30
         ));
     }
 
     #[test]
     fn corrupted_payload_fails_the_trailer() {
-        let mut bytes = encode_frame(Verb::Submit, b"payload-bytes");
-        bytes[HEADER_LEN] ^= 0x01;
-        assert!(matches!(
-            read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME),
-            Err(FrameError::BadTrailer { .. })
-        ));
+        let mut bytes = encode_frame_v2(Verb::Submit, 1, b"payload-bytes");
+        bytes[HEADER_LEN_V2] ^= 0x01;
+        assert!(matches!(read(&bytes, DEFAULT_MAX_FRAME), Err(FrameError::BadTrailer { .. })));
     }
 
     #[test]
     fn write_frame_reports_wire_bytes() {
         let mut sink = Vec::new();
-        let n = write_frame(&mut sink, Verb::Pong, b"abc").unwrap();
+        let n = write_frame_v2(&mut sink, Verb::Pong, 9, b"abc").unwrap();
         assert_eq!(n, sink.len());
-        assert_eq!(n, HEADER_LEN + 3 + TRAILER_LEN);
-    }
-
-    #[test]
-    fn v2_roundtrips_all_verbs_and_ids() {
-        for verb in [Verb::Submit, Verb::Report, Verb::SubmitMany, Verb::ReportOne, Verb::Busy] {
-            for req_id in [0u32, 1, 7, u32::MAX] {
-                let bytes = encode_frame_v2(verb, req_id, b"v2 \x00 payload");
-                let (v, id, p) = read_frame_v2(&mut bytes.as_slice(), DEFAULT_MAX_FRAME).unwrap();
-                assert_eq!((v, id, p.as_slice()), (verb, req_id, b"v2 \x00 payload".as_slice()));
-            }
-        }
-    }
-
-    #[test]
-    fn v2_reader_rejects_v1_frames_and_vice_versa() {
-        let v1 = encode_frame(Verb::Ping, b"");
-        assert!(matches!(
-            read_frame_v2(&mut v1.as_slice(), DEFAULT_MAX_FRAME),
-            Err(FrameError::BadVersion(1))
-        ));
-        let v2 = encode_frame_v2(Verb::Ping, 9, b"");
-        assert!(matches!(
-            read_frame(&mut v2.as_slice(), DEFAULT_MAX_FRAME),
-            Err(FrameError::BadVersion(2))
-        ));
+        assert_eq!(n, HEADER_LEN_V2 + 3 + TRAILER_LEN);
     }
 
     #[test]
@@ -694,6 +595,11 @@ mod tests {
             asm.next_frame(1024),
             Err(FrameError::Oversize { len, max: 1024 }) if len == 1 << 30
         ));
+
+        // A retired v1 preamble is refused from its first five bytes.
+        let mut asm = FrameAssembler::new();
+        asm.feed(b"TPIN\x01");
+        assert!(matches!(asm.next_frame(DEFAULT_MAX_FRAME), Err(FrameError::BadVersion(1))));
 
         // Corrupt payload fails the trailer.
         let mut bytes = encode_frame_v2(Verb::Submit, 1, b"payload");

@@ -1,4 +1,4 @@
-//! Payload encodings for the `tpi-net/v1` verbs.
+//! Payload encodings for the `tpi-net` verbs.
 //!
 //! Payloads are flat little-endian binary, decoded with explicit bounds
 //! checks — no `serde`, no reflection, no panics. Strings are
@@ -502,11 +502,11 @@ impl CacheAnswer {
 }
 
 // ---------------------------------------------------------------------
-// Streaming batch (v2): SubmitMany / ReportOne
+// Streaming batch: SubmitMany / ReportOne
 // ---------------------------------------------------------------------
 
 /// The payload of a [`Verb::SubmitMany`](crate::frame::Verb::SubmitMany)
-/// request (v2 only): a batch of jobs submitted in one frame. The
+/// request: a batch of jobs submitted in one frame. The
 /// server answers with one [`ReportOne`] frame per job — in
 /// *completion* order, not submission order — all carrying the batch
 /// frame's request ID; the embedded index is what maps a report back
@@ -556,7 +556,7 @@ impl SubmitMany {
 }
 
 /// The payload of a [`Verb::ReportOne`](crate::frame::Verb::ReportOne)
-/// response (v2 only): one finished job out of a [`SubmitMany`] batch,
+/// response: one finished job out of a [`SubmitMany`] batch,
 /// tagged with the batch index it answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReportOne {

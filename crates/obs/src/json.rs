@@ -6,10 +6,8 @@
 //! formatting, and there is no map iteration anywhere. (No `serde` in
 //! the offline container — and none needed for write-only JSON.)
 //!
-//! This module started life inside `tpi-serve` (whose cached payloads
-//! have the same byte-identity contract) and moved here so every crate
-//! that renders metrics shares one writer; `tpi_serve::json` re-exports
-//! it for compatibility.
+//! Every crate that renders metrics or payloads shares this one writer;
+//! `tpi-serve`'s cached payloads carry the same byte-identity contract.
 
 use std::fmt::Write as _;
 

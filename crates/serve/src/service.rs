@@ -2,7 +2,6 @@
 
 use crate::cache::{CacheSource, ResultCache};
 use crate::job::{FlowKind, JobSpec};
-use crate::json::JsonObject;
 use crate::key::{cache_key, netlist_fingerprint, CacheKey};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -13,7 +12,7 @@ use tpi_core::{
     CancelKind, CounterSnapshot, FlowError, FlowOptions, FullScanFlow, PartialScanFlow, Progress,
 };
 use tpi_lint::{has_errors, lint_netlist, Diagnostic, LintCode, LintConfig};
-use tpi_obs::{FlowMetrics, HistogramSnapshot, Recorder};
+use tpi_obs::{FlowMetrics, HistogramSnapshot, JsonObject, Recorder};
 use tpi_par::{Threads, WorkerPool};
 
 /// Service-wide configuration.
@@ -533,31 +532,11 @@ fn execute(
         catch_unwind(AssertUnwindSafe(|| run_flow(shared, &spec.flow, &netlist, progress, &rec)));
     let payload = match ran {
         Ok(Ok(payload)) => payload,
-        Ok(Err(FlowError::Canceled(kind))) => {
-            return report(status_for(kind), Some(key), None, CacheSource::Cold, false, preflight)
-        }
-        Ok(Err(FlowError::Verification(mut diags))) => {
-            let n_errors = diags.iter().filter(|d| d.severity == tpi_lint::Severity::Error).count();
-            let msg = match diags.first() {
-                Some(first) => format!(
-                    "post-flow verification failed ({n_errors} error(s)): {}",
-                    first.render_text()
-                ),
-                None => "post-flow verification failed".to_string(),
-            };
+        Ok(Err(e)) => {
+            let (status, mut diags) = failure_status(e);
             let mut all = preflight;
             all.append(&mut diags);
-            return report(JobStatus::Failed(msg), Some(key), None, CacheSource::Cold, false, all);
-        }
-        Ok(Err(e @ (FlowError::FlushFailed(_) | FlowError::NoFlipFlops))) => {
-            return report(
-                JobStatus::Failed(e.to_string()),
-                Some(key),
-                None,
-                CacheSource::Cold,
-                false,
-                preflight,
-            )
+            return report(status, Some(key), None, CacheSource::Cold, false, all);
         }
         Err(panic) => {
             let msg = panic
@@ -585,6 +564,28 @@ fn status_for(kind: CancelKind) -> JobStatus {
     match kind {
         CancelKind::Canceled => JobStatus::Canceled,
         CancelKind::DeadlineExceeded => JobStatus::TimedOut,
+    }
+}
+
+/// The status a job reports for a flow error, plus the verifier
+/// diagnostics the error carries (appended to the report's own).
+fn failure_status(e: FlowError) -> (JobStatus, Vec<Diagnostic>) {
+    match e {
+        FlowError::Canceled(kind) => (status_for(kind), Vec::new()),
+        FlowError::Verification(diags) => {
+            let n_errors = diags.iter().filter(|d| d.severity == tpi_lint::Severity::Error).count();
+            let msg = match diags.first() {
+                Some(first) => format!(
+                    "post-flow verification failed ({n_errors} error(s)): {}",
+                    first.render_text()
+                ),
+                None => "post-flow verification failed".to_string(),
+            };
+            (JobStatus::Failed(msg), diags)
+        }
+        e @ (FlowError::FlushFailed(_)
+        | FlowError::NoFlipFlops
+        | FlowError::UnverifiableOutcome(_)) => (JobStatus::Failed(e.to_string()), Vec::new()),
     }
 }
 
@@ -816,11 +817,18 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_deadline_forwards_to_options() {
-        let s = JobService::new(ServiceConfig::default());
-        let r = s.submit(JobSpec::full_scan(ring()).with_deadline(Duration::ZERO)).wait();
-        assert_eq!(r.status, JobStatus::TimedOut);
+    fn unverifiable_tpgreed_outcome_reports_failed() {
+        let why = "path f348->f464 side input cone464_1 carries X, want Zero";
+        let (status, diags) = failure_status(FlowError::UnverifiableOutcome(why.into()));
+        match status {
+            JobStatus::Failed(msg) => {
+                assert!(msg.starts_with("TPGREED produced an unverifiable outcome"), "{msg}");
+                assert!(msg.ends_with(why), "{msg}");
+                assert!(!msg.contains("panicked"), "{msg}");
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        assert!(diags.is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Coverage-tracked wire-protocol fuzzing.
 //!
-//! The fuzz lane takes *valid* `tpi-net/v1`/`v2` frames (the corpus) and
+//! The fuzz lane takes *valid* `tpi-net/v2` frames (the corpus) and
 //! applies one seeded mutation per injection — truncation, bit flips,
 //! splices of two frames, and deliberate lies in the length and
 //! request-ID header fields. The mutant goes to the server over a raw
@@ -21,7 +21,7 @@ use rand::{Rng, StdRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-use tpi_net::{read_frame, read_frame_v2, ErrorInfo, Verb, DEFAULT_MAX_FRAME};
+use tpi_net::{read_frame_v2, ErrorInfo, Verb, DEFAULT_MAX_FRAME};
 
 /// One grammar production of the mutator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -102,17 +102,12 @@ pub fn classify_response(buf: &[u8], closed: bool) -> String {
     if buf.is_empty() {
         return if closed { "closed".to_string() } else { "silent".to_string() };
     }
-    // The server answers on the protocol the *connection* sniffed from
-    // our first bytes, so try v2 then v1.
-    let parsed = read_frame_v2(&mut &buf[..], DEFAULT_MAX_FRAME)
-        .map(|(verb, _, payload)| (verb, payload))
-        .or_else(|_| read_frame(&mut &buf[..], DEFAULT_MAX_FRAME));
-    match parsed {
-        Ok((Verb::Error, payload)) => match ErrorInfo::decode(&payload) {
+    match read_frame_v2(&mut &buf[..], DEFAULT_MAX_FRAME) {
+        Ok((Verb::Error, _, payload)) => match ErrorInfo::decode(&payload) {
             Ok(info) => format!("error:{:?}", info.code),
             Err(_) => "error:undecodable".to_string(),
         },
-        Ok((verb, _)) => format!("resp:{verb:?}"),
+        Ok((verb, _, _)) => format!("resp:{verb:?}"),
         Err(_) => "garbage".to_string(),
     }
 }

@@ -15,9 +15,9 @@
 //!   scan-based test application through the produced chains;
 //! * [`serve`] — a long-lived job service around the flows: worker pool,
 //!   content-addressed result cache, deadlines and run metrics;
-//! * [`net`] — the service over TCP: the `tpi-net/v1` length-prefixed
-//!   frame protocol, the `tpi-netd` server (bounded concurrency,
-//!   Busy backpressure, graceful drain) and the retrying client behind
+//! * [`net`] — the service over TCP: the `tpi-net/v2` length-prefixed
+//!   frame protocol, the `tpi-netd` server (one poll loop, per-request
+//!   Busy backpressure, graceful drain) and the session client behind
 //!   `tpi-cli`;
 //! * [`gateway`] — cache-affinity sharding across `tpi-netd` backends:
 //!   consistent-hash routing on the content-addressed job key,

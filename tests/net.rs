@@ -1,16 +1,15 @@
 //! Loopback integration tests for the `tpi-net` subsystem: the
-//! byte-identity contract, deadline propagation over the wire, `Busy`
-//! backpressure (connection-cap for v1, per-request for v2),
-//! out-of-order pipelined completions, the 1k-idle-connections thread
-//! bound, malformed-frame survival, mid-job disconnects, drain on
-//! shutdown — plus property tests for both frame codecs.
+//! byte-identity contract, deadline propagation over the wire,
+//! per-request `Busy` backpressure, out-of-order pipelined
+//! completions, the 1k-idle-connections thread bound, malformed-frame
+//! and retired-v1 survival, mid-job disconnects, drain on shutdown —
+//! plus property tests for the frame codec and its assembler.
 
 use proptest::prelude::*;
 use scanpath::net::{
-    encode_frame, encode_frame_v2, read_frame, read_frame_v2, write_addr_file, write_frame,
-    CacheAnswer, CacheLookup, Client, ClientConfig, ClientError, Connection, ErrorCode, ErrorInfo,
-    FrameAssembler, FrameError, FrameHandler, NetServer, ProtoError, ServerConfig, Verb,
-    WireRequest, WireVersion,
+    encode_frame_v2, payload_checksum, read_frame_v2, write_addr_file, write_frame_v2, CacheAnswer,
+    CacheLookup, ClientConfig, ClientError, Connection, ErrorCode, ErrorInfo, FrameAssembler,
+    FrameError, FrameHandler, NetServer, ProtoError, ServerConfig, Verb, WireRequest,
 };
 use scanpath::netlist::write_blif;
 use scanpath::serve::{JobService, JobSpec, JobStatus, NetlistSource, ServiceConfig};
@@ -80,42 +79,34 @@ fn loopback_byte_identical_at_all_threads() {
     assert_loopback_byte_identical(0);
 }
 
-/// Every wire path — a v1 client, the deprecated `Client` forwarders
-/// (which open a one-shot v2 session), and a long-lived session —
-/// returns the same report bytes for the same spec.
+/// The retired `tpi-net/v1` gets no path of its own: a `TPIN\x01`
+/// header is answered like any other bad header — one `Error` frame
+/// (`MalformedFrame`, request ID 0), then the connection closes — and
+/// the server keeps serving v2 on fresh connections.
 #[test]
-#[allow(deprecated)] // the forwarders under test are the deprecated compatibility layer
-fn v1_and_v2_paths_return_byte_identical_reports() {
+fn v1_peer_gets_a_typed_error_and_close() {
     let (conn, handle, join, _service) = loopback(1, ServerConfig::default());
-    let addr = handle.addr().to_string();
-    let req = WireRequest::full_scan(s27_blif());
 
-    let via_session = run(&conn, &req).expect("session submit");
-    let payload = via_session.payload.clone().expect("completed jobs carry a payload");
+    // A complete v1 Ping: magic, version 1, verb, u32 length 0, then
+    // the FNV-64 trailer of the empty payload.
+    let mut ping = b"TPIN\x01\x07\x00\x00\x00\x00".to_vec();
+    ping.extend_from_slice(&payload_checksum(b"").to_le_bytes());
+    let mut v1 = TcpStream::connect(handle.addr()).expect("connect");
+    v1.write_all(&ping).expect("write v1 ping");
+    let (verb, req_id, payload) = read_frame_v2(&mut &v1, u32::MAX).expect("a v2 error frame");
+    assert_eq!((verb, req_id), (Verb::Error, 0));
+    let info = ErrorInfo::decode(&payload).expect("typed error payload");
+    assert_eq!(info.code, ErrorCode::MalformedFrame);
+    assert!(info.message.contains("version 1"), "{}", info.message);
+    match read_frame_v2(&mut &v1, u32::MAX) {
+        Err(FrameError::Closed | FrameError::Io(_)) => {}
+        other => panic!("expected the server to close the v1 connection, got {other:?}"),
+    }
 
-    let v1 = Client::with_config(
-        addr.clone(),
-        ClientConfig { wire: WireVersion::V1, ..ClientConfig::default() },
-    );
-    let via_v1 = v1.submit(&req).expect("v1 submit");
-    assert_eq!(via_v1.payload.as_deref(), Some(payload.as_str()), "v1 bytes match the session");
-
-    let forwarder = Client::new(addr);
-    let via_forwarder = forwarder.submit(&req).expect("forwarder submit");
-    assert_eq!(
-        via_forwarder.payload.as_deref(),
-        Some(payload.as_str()),
-        "deprecated forwarder bytes match the session"
-    );
-
-    // The remaining forwarders answer over one-shot sessions too.
-    forwarder.ping().expect("forwarder ping");
-    let json = forwarder.metrics_json().expect("forwarder metrics");
-    assert!(json.starts_with("{\"schema\":\"tpi-netd-metrics/v1\""), "schema first: {json}");
-    let key = via_session.key.expect("completed jobs carry a cache key");
-    let fetched = forwarder.peer_fetch(key).expect("forwarder peer-fetch");
-    assert_eq!(fetched.as_deref(), Some(payload.as_str()));
-
+    let fresh = Connection::open(handle.addr().to_string()).expect("open a v2 session");
+    fresh.ping().expect("v2 ping after the v1 refusal");
+    drop(fresh);
+    drop(conn);
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
@@ -191,59 +182,6 @@ fn submit_many_streams_a_report_per_job() {
     join.join().unwrap().unwrap();
 }
 
-/// The v1 `Busy` contract: refusal at the *connection* cap. The v2
-/// per-request contract lives in
-/// `a_thousand_idle_connections_bounded_threads_with_busy_backpressure`.
-#[test]
-#[allow(deprecated)] // asserts the legacy v1 client path on purpose
-fn busy_under_saturation_then_retry_succeeds() {
-    let (conn, handle, join, _service) =
-        loopback(1, ServerConfig { max_connections: 1, ..ServerConfig::default() });
-    let addr = handle.addr();
-
-    // Occupy the single v1 slot with an idle connection. The server
-    // learns a connection's protocol from its first five bytes, so the
-    // hog must announce itself as v1 before it counts against the cap.
-    let mut hog = TcpStream::connect(addr).expect("hog connects");
-    hog.write_all(b"TPIN\x01").expect("hog announces v1");
-    std::thread::sleep(Duration::from_millis(100));
-
-    // No retry budget: the Busy answer surfaces as an error.
-    let impatient = Client::with_config(
-        addr.to_string(),
-        ClientConfig {
-            retry_budget: Duration::ZERO,
-            wire: WireVersion::V1,
-            ..ClientConfig::default()
-        },
-    );
-    match impatient.ping() {
-        Err(ClientError::Busy { .. }) => {}
-        other => panic!("expected Busy at the connection cap, got {other:?}"),
-    }
-
-    // With a budget, the retry loop rides out the saturation: free the
-    // slot shortly and the same call succeeds.
-    let freer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(150));
-        drop(hog);
-    });
-    let patient = Client::with_config(
-        addr.to_string(),
-        ClientConfig {
-            retry_budget: Duration::from_secs(10),
-            wire: WireVersion::V1,
-            ..ClientConfig::default()
-        },
-    );
-    patient.ping().expect("retry succeeds once the slot frees");
-    freer.join().unwrap();
-
-    drop(conn);
-    handle.shutdown();
-    join.join().unwrap().unwrap();
-}
-
 /// A handler whose submits park until the test opens the gate — the
 /// deterministic way to hold a request in flight.
 #[derive(Clone)]
@@ -274,12 +212,7 @@ struct GateHandler {
 }
 
 impl FrameHandler for GateHandler {
-    fn submit(&self, _req: WireRequest) -> (Verb, Vec<u8>) {
-        self.gate.wait();
-        (Verb::Error, ErrorInfo::new(ErrorCode::Internal, "gated handler").encode())
-    }
-
-    fn submit_async(&self, _req: WireRequest, done: Box<dyn FnOnce(Verb, Vec<u8>) + Send>) {
+    fn submit(&self, _req: WireRequest, done: Box<dyn FnOnce(Verb, Vec<u8>) + Send>) {
         // Parked on a thread, never on the poll loop.
         let gate = self.gate.clone();
         std::thread::spawn(move || {
@@ -305,7 +238,7 @@ fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0)
 }
 
-/// The two headline v2 server properties at once: a thousand idle
+/// The two headline server properties at once: a thousand idle
 /// sessions cost no server threads (the readiness loop, not
 /// thread-per-connection), and with them all open, `Busy` is
 /// *per-request* backpressure — an over-cap submit is turned away and
@@ -336,7 +269,7 @@ fn a_thousand_idle_connections_bounded_threads_with_busy_backpressure() {
         // the process by even a fraction of the connection count.
         assert!(
             during.saturating_sub(before) <= 8,
-            "1000 idle v2 connections grew the process from {before} to {during} threads"
+            "1000 idle connections grew the process from {before} to {during} threads"
         );
     }
 
@@ -396,19 +329,19 @@ fn malformed_frame_gets_an_error_and_the_listener_survives() {
     // Garbage that is not even a header.
     let mut bad = TcpStream::connect(addr).expect("connect");
     bad.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("write garbage");
-    let (verb, payload) = read_frame(&mut &bad, u32::MAX).expect("server answers a frame");
-    assert_eq!(verb, Verb::Error);
+    let (verb, req_id, payload) = read_frame_v2(&mut &bad, u32::MAX).expect("server answers");
+    assert_eq!((verb, req_id), (Verb::Error, 0));
     let info = ErrorInfo::decode(&payload).expect("typed error payload");
     assert_eq!(info.code, ErrorCode::MalformedFrame);
     drop(bad);
 
     // A valid frame with a corrupted trailer is also refused politely.
     let mut torn = TcpStream::connect(addr).expect("connect");
-    let mut frame = encode_frame(Verb::Ping, b"");
+    let mut frame = encode_frame_v2(Verb::Ping, 1, b"");
     let last = frame.len() - 1;
     frame[last] ^= 0xff;
     torn.write_all(&frame).expect("write corrupted frame");
-    let (verb, _) = read_frame(&mut &torn, u32::MAX).expect("server answers a frame");
+    let (verb, _, _) = read_frame_v2(&mut &torn, u32::MAX).expect("server answers a frame");
     assert_eq!(verb, Verb::Error);
     drop(torn);
 
@@ -427,7 +360,7 @@ fn mid_job_disconnect_does_not_poison_the_server() {
     // Submit a real job and hang up before reading the response.
     let mut rude = TcpStream::connect(addr).expect("connect");
     let payload = WireRequest::full_scan(s27_blif()).encode();
-    write_frame(&mut rude, Verb::Submit, &payload).expect("write submit");
+    write_frame_v2(&mut rude, Verb::Submit, 1, &payload).expect("write submit");
     drop(rude);
 
     // Follow-up requests on fresh connections must succeed.
@@ -550,25 +483,32 @@ fn payload_bytes(len: usize, seed: u64) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary payload bytes survive encode → decode exactly, for
-    /// every verb.
+    /// Arbitrary payload bytes survive encode → server-side assembly
+    /// exactly, for every verb and request ID.
     #[test]
-    fn frame_roundtrip_identity(len in 0usize..2048, seed in 0u64..u64::MAX, verb_pick in 0usize..9) {
+    fn frame_roundtrip_identity(
+        len in 0usize..2048,
+        seed in 0u64..u64::MAX,
+        verb_pick in 0usize..13,
+        req_id in 0u32..=u32::MAX,
+    ) {
         let verbs = [
             Verb::Submit, Verb::Report, Verb::Error, Verb::Busy, Verb::Metrics,
             Verb::MetricsReport, Verb::Ping, Verb::Pong, Verb::Shutdown,
+            Verb::PeerFetch, Verb::CachePayload, Verb::SubmitMany, Verb::ReportOne,
         ];
         let verb = verbs[verb_pick];
         let payload = payload_bytes(len, seed);
-        let bytes = encode_frame(verb, &payload);
-        let (got_verb, got_payload) = read_frame(&mut bytes.as_slice(), u32::MAX)
-            .expect("well-formed frames decode");
-        prop_assert_eq!(got_verb, verb);
-        prop_assert_eq!(got_payload, payload);
+        let mut asm = FrameAssembler::new();
+        asm.feed(&encode_frame_v2(verb, req_id, &payload));
+        let got = asm.next_frame(u32::MAX).expect("well-formed frames assemble");
+        prop_assert_eq!(got, Some((verb, req_id, payload)));
+        prop_assert_eq!(asm.pending(), 0);
     }
 
-    /// Corrupting any single byte of a frame yields a typed error or a
-    /// short read — never a panic, and never a silently wrong payload.
+    /// Corrupting any single byte of a frame fed to the server's
+    /// assembler yields a typed error or a wait for more bytes — never
+    /// a panic, and never a silently wrong payload.
     #[test]
     fn frame_corruption_is_typed_never_panics(
         len in 1usize..256,
@@ -577,17 +517,21 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let payload = payload_bytes(len, seed);
-        let mut bytes = encode_frame(Verb::Report, &payload);
+        let mut bytes = encode_frame_v2(Verb::Report, 7, &payload);
         let idx = corrupt_at_fraction * bytes.len() / 10_000;
         bytes[idx] ^= flip;
-        match read_frame(&mut bytes.as_slice(), u32::MAX) {
+        let mut asm = FrameAssembler::new();
+        asm.feed(&bytes);
+        match asm.next_frame(u32::MAX) {
             // A length-field corruption that *shrinks* the frame can
-            // decode a shorter prefix — but then the trailer (checksum
+            // assemble a shorter prefix — but then the trailer (checksum
             // over the payload) must have caught any payload change.
-            Ok((verb, got)) => {
-                prop_assert_eq!(verb, Verb::Report);
+            Ok(Some((_, _, got))) => {
                 prop_assert_eq!(got, payload, "a successful decode must return the true payload");
             }
+            // A length-field corruption that *grows* the frame waits
+            // for bytes that never come.
+            Ok(None) => prop_assert!((10..14).contains(&idx), "stalled on a flip at byte {}", idx),
             Err(
                 FrameError::BadMagic(_)
                 | FrameError::BadVersion(_)
@@ -601,9 +545,9 @@ proptest! {
         }
     }
 
-    /// Every `(verb, req_id, payload)` triple — including the v2-only
-    /// batch verbs and the extreme request IDs — survives the v2
-    /// encode → decode exactly.
+    /// Every `(verb, req_id, payload)` triple — including the batch
+    /// verbs and the extreme request IDs — survives the blocking
+    /// reader's encode → decode exactly.
     #[test]
     fn frame_v2_roundtrip_identity(
         len in 0usize..2048,
@@ -709,10 +653,10 @@ proptest! {
     #[test]
     fn trailer_corruption_is_bad_trailer(len in 0usize..512, seed in 0u64..u64::MAX) {
         let payload = payload_bytes(len, seed);
-        let mut bytes = encode_frame(Verb::Submit, &payload);
+        let mut bytes = encode_frame_v2(Verb::Submit, 1, &payload);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        let err = read_frame(&mut bytes.as_slice(), u32::MAX).unwrap_err();
+        let err = read_frame_v2(&mut bytes.as_slice(), u32::MAX).unwrap_err();
         prop_assert!(
             matches!(err, FrameError::BadTrailer { .. }),
             "expected BadTrailer, got {}", err
@@ -724,9 +668,9 @@ proptest! {
     #[test]
     fn oversize_length_is_rejected_early(extra in 1u32..1_000_000) {
         let cap = 1024u32;
-        let mut bytes = encode_frame(Verb::Ping, &[0u8; 8]);
-        bytes[6..10].copy_from_slice(&(cap + extra).to_le_bytes());
-        let err = read_frame(&mut bytes.as_slice(), cap).unwrap_err();
+        let mut bytes = encode_frame_v2(Verb::Ping, 1, &[0u8; 8]);
+        bytes[10..14].copy_from_slice(&(cap + extra).to_le_bytes());
+        let err = read_frame_v2(&mut bytes.as_slice(), cap).unwrap_err();
         prop_assert!(matches!(err, FrameError::Oversize { .. }), "got {}", err);
     }
 

@@ -8,14 +8,17 @@
 //! A spec with extra recorded arguments (`pick`, `k`) replays the
 //! properties taking that argument; spec-only entries replay every
 //! spec-only property.
+//!
+//! The file ends with TPGREED gain-update regressions found outside
+//! proptest, on re-drawn and calibrated paper circuits.
 
-use scanpath::netlist::{GateKind, TechLibrary};
+use scanpath::netlist::{parse_blif, write_blif, GateKind, Netlist, TechLibrary};
 use scanpath::scan::SGraph;
 use scanpath::sim::{Implication, Trit};
 use scanpath::sta::{ClockConstraint, Sta};
 use scanpath::tpi::tpgreed::{verify_outcome, GainUpdate, TpGreed, TpGreedConfig};
 use scanpath::tpi::{enumerate_paths, Region};
-use scanpath::workloads::{generate, CircuitSpec, StructureClass};
+use scanpath::workloads::{generate, suite, CircuitSpec, StructureClass};
 
 /// `mixed(0.3, 4, 2, 0).with_hard_rings(1, 3)` — strategy class 2.
 fn hard_ring_class() -> StructureClass {
@@ -181,4 +184,51 @@ fn regression_prop484454_k_4() {
 fn regression_prop390521() {
     let s = spec("prop390521", 2, 28, 80, hard_ring_class(), 390521);
     replay_spec_only_properties(&s);
+}
+
+/// Generates `spec` the way the job service sees it: as BLIF text.
+fn via_blif(spec: &CircuitSpec) -> Netlist {
+    parse_blif(&write_blif(&generate(spec))).expect("generated BLIF parses")
+}
+
+/// Runs TPGREED with both gain-update strategies and asserts the
+/// incremental selection verifies and equals the full recomputation's.
+fn assert_incremental_matches_full(n: &Netlist) {
+    let run = |gain_update| {
+        TpGreed::new(n, TpGreedConfig { gain_update, ..TpGreedConfig::default() }).run_with_paths()
+    };
+    let (incremental, paths) = run(GainUpdate::Incremental);
+    let (full, _) = run(GainUpdate::Full);
+    verify_outcome(n, &paths, &incremental)
+        .unwrap_or_else(|e| panic!("{}: incremental outcome does not verify: {e}", n.name()));
+    assert_eq!(incremental.test_points, full.test_points, "{}: test points", n.name());
+    assert_eq!(incremental.scan_paths, full.scan_paths, "{}: scan paths", n.name());
+}
+
+/// s15850 re-drawn with seed `0xb82f84c9597a286e`: at round 157 the
+/// incremental update committed `cone100087_3 = 0` over its implied 1
+/// on a stale cached gain, which sent protected side input
+/// `cone464_1` of established path `f348 -> f464` back to X (166 test
+/// points that fail verification; full recomputation gives 168 that
+/// verify).
+#[test]
+fn redrawn_s15850_incremental_matches_full() {
+    let mut spec = suite().swap_remove(3);
+    assert_eq!(spec.name, "s15850");
+    spec.seed = 0xb82f_84c9_597a_286e;
+    assert_incremental_matches_full(&via_blif(&spec));
+}
+
+/// §III.C promises that incremental gain updates select exactly what
+/// full recomputation selects. Not yet true: on calibrated s38417 the
+/// cached gains go stale from round 7 (`cone100266_2 = 1` is cached at
+/// 0, a fresh evaluation gives 2.58), and selections first differ at
+/// test point 200 — both runs still give 269 test points and 510
+/// verified paths.
+#[test]
+#[ignore = "known divergence: incremental gains go stale on calibrated s38417"]
+fn incremental_matches_full_on_calibrated_suite() {
+    for spec in suite() {
+        assert_incremental_matches_full(&via_blif(&spec));
+    }
 }
