@@ -109,20 +109,21 @@ BENCH=target/release/tpi-bench
 "$BENCH" --threads 0 --det-out "$SMOKE/det0.txt" >/dev/null
 cmp "$SMOKE/det1.txt" "$SMOKE/det0.txt"
 
-echo "== tpi-bench --gain-model scoap (byte-identical across threads 1/2/0 and engines) =="
+echo "== tpi-bench --gain-model scoap (byte-identical across threads 1/2/0, selections = reference) =="
 "$BENCH" --gain-model scoap
 
 echo "== tpi-bench sweep (emits BENCH_PR4.json) =="
 "$BENCH" --emit-bench BENCH_PR4.json
 
-echo "== lane-engine equivalence (release, includes the 10k-gate circuit) =="
+echo "== lane-engine equivalence and production vs reference (release, includes the 10k-gate circuit) =="
 cargo test -q --release -p tpi-core --test lane_equiv -- --include-ignored
 
-echo "== tpi-bench --large: gen50k lane-engine gates (emits BENCH_PR6.json) =="
-# Fails if selections/deterministic sections differ between the scalar
-# and lane engines or across --threads 1/2/0, or if tpgreed at
-# --threads 0 is >15% slower than --threads 1 (the parallel-slowdown
-# regression this PR fixes).
+echo "== tpi-bench --large: gen50k production vs reference gates (emits BENCH_PR6.json) =="
+# Fails if deterministic sections differ across --threads 1/2/0, if the
+# selections (test points, scan-path endpoints, iterations) differ from
+# TPGREED's full-recompute scalar reference, or if tpgreed at --threads 0
+# is >15% slower than --threads 1 (the parallel-slowdown regression).
+# The reference run takes ~2 minutes on gen50k.
 "$BENCH" --large --emit-bench BENCH_PR6.json
 
 echo "== tpi-bench --net: sequential vs pipelined session loopback throughput (emits BENCH_PR9.json) =="

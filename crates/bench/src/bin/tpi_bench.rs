@@ -20,17 +20,18 @@
 //!   workload, then exit. CI runs this at two settings and `cmp`s the
 //!   files: any byte difference fails the build.
 //! * `--large` — run the ~50k-gate `gen50k` workload instead of the
-//!   smoke suite: full-scan on the lane sweep engine at `--threads 1`,
-//!   `2` and `0` plus a scalar-engine baseline at `--threads 1`. Fails
-//!   if the deterministic sections differ anywhere, or if the `tpgreed`
-//!   phase at `--threads 0` is slower than at `--threads 1` by more
-//!   than 15% (the TPGREED parallel-slowdown regression, gated forever).
-//!   With `--emit-bench`, writes the `suite: "large"` bench file
-//!   (`BENCH_PR6.json`).
+//!   smoke suite: full-scan at `--threads 1`, `2` and `0` plus
+//!   TPGREED's full-recompute reference. Fails if the deterministic
+//!   sections differ across thread counts, if the selections (test
+//!   points, scan-path endpoints, iterations) differ from the
+//!   reference's, or if the `tpgreed` phase at `--threads 0` is slower
+//!   than at `--threads 1` by more than 15% (the TPGREED
+//!   parallel-slowdown regression, gated forever). With `--emit-bench`,
+//!   writes the `suite: "large"` bench file (`BENCH_PR6.json`).
 //! * `--gain-model path-count|scoap` — run the smoke circuits through
-//!   full-scan under the named TPGREED gain model, across `--threads
-//!   1/2/0` on the lane engine plus a scalar-engine baseline, and fail
-//!   unless every deterministic section is byte-identical.
+//!   full-scan under the named TPGREED gain model across `--threads
+//!   1/2/0`, and fail unless every deterministic section is
+//!   byte-identical and the selections equal the reference's.
 //! * `--gen-scale` — the industrial-generator scaling gate: build
 //!   125k/250k/500k-gate designs with `IndustrialSpec::sized`, print
 //!   ns/gate for each, and fail if the slowest per-gate cost exceeds
@@ -51,12 +52,13 @@
 use std::process::exit;
 use std::time::Instant;
 use tpi_core::{
-    FlowMetrics, FlowOptions, FullScanFlow, GainModel, PartialScanFlow, PartialScanMethod,
-    SweepEngine, TpGreedConfig,
+    FlowMetrics, FlowOptions, FullScanFlow, GainModel, PartialScanFlow, PartialScanMethod, PathSet,
+    TpGreed, TpGreedConfig, TpGreedOutcome,
 };
 use tpi_net::cli::{ArgCursor, Cli};
-use tpi_netlist::Netlist;
+use tpi_netlist::{GateId, Netlist};
 use tpi_obs::{JsonArray, JsonObject, SpanSnapshot};
+use tpi_sim::Trit;
 use tpi_workloads::{generate, large_suite, smoke_suite};
 
 /// The thread settings the determinism gate sweeps.
@@ -139,77 +141,89 @@ fn span_micros(m: &FlowMetrics, name: &str) -> u64 {
     m.spans.iter().find_map(|s| walk(s, name)).unwrap_or(0)
 }
 
-/// One full-scan run of the large workload on a chosen sweep engine.
-fn run_large(n: &Netlist, engine: SweepEngine, threads: usize) -> Run {
-    let flow = FullScanFlow {
-        config: TpGreedConfig { sweep_engine: engine, ..TpGreedConfig::default() },
-        ..FullScanFlow::default()
-    };
+/// One full-scan run of `n` under `config` on the production TPGREED
+/// path.
+fn run_full_scan(n: &Netlist, label: &str, config: &TpGreedConfig, threads: usize) -> Run {
+    let flow = FullScanFlow { config: config.clone(), ..FullScanFlow::default() };
     let opts = FlowOptions::new().with_threads(threads);
     let t0 = Instant::now();
     let metrics = flow.run_with(n, &opts).map(|r| r.metrics).unwrap_or_else(|e| {
-        eprintln!("gen50k [full-scan] {engine:?} --threads {threads}: {e}");
+        eprintln!("{label} [full-scan] --threads {threads}: {e}");
         exit(1);
     });
     Run { threads, wall_micros: t0.elapsed().as_micros() as u64, metrics }
 }
 
-/// One full-scan run of `n` under an explicit gain model and engine.
-fn run_gain_model(n: &Netlist, model: GainModel, engine: SweepEngine, threads: usize) -> Run {
-    let flow = FullScanFlow {
-        config: TpGreedConfig {
-            gain_model: model,
-            sweep_engine: engine,
-            ..TpGreedConfig::default()
-        },
-        ..FullScanFlow::default()
-    };
-    let opts = FlowOptions::new().with_threads(threads);
+/// TPGREED's selections: test points, scan-path endpoints, iterations.
+/// The reference is compared on these alone — its deterministic section
+/// rightly differs (full recomputation evaluates more candidates).
+type Selections = (Vec<(GateId, Trit)>, Vec<(GateId, GateId)>, usize);
+
+fn selections((outcome, paths): (TpGreedOutcome, PathSet)) -> Selections {
+    let endpoints = outcome.scan_path_endpoints(&paths);
+    (outcome.test_points, endpoints, outcome.iterations)
+}
+
+/// Whether the production path (threads 1) selects exactly what the
+/// full-recompute reference selects on `n`, plus the reference run's
+/// wall µs (path enumeration included).
+fn matches_reference(n: &Netlist, config: &TpGreedConfig) -> (bool, u64) {
     let t0 = Instant::now();
-    let metrics = flow.run_with(n, &opts).map(|r| r.metrics).unwrap_or_else(|e| {
-        eprintln!("[full-scan {}] {engine:?} --threads {threads}: {e}", model.label());
-        exit(1);
-    });
-    Run { threads, wall_micros: t0.elapsed().as_micros() as u64, metrics }
+    let reference = selections(TpGreed::new(n, config.clone()).run_reference());
+    let reference_micros = t0.elapsed().as_micros() as u64;
+    let production = selections(TpGreed::new(n, config.clone()).run_with_paths());
+    (production == reference, reference_micros)
 }
 
 /// `--gain-model MODEL` mode: every smoke circuit through full-scan
-/// under the given TPGREED gain model, across `--threads 1/2/0` on the
-/// lane engine plus a scalar baseline. The deterministic sections must
-/// be byte-identical across all four runs — the gain model changes
-/// *which* test points are picked, never determinism.
+/// under the given TPGREED gain model, across `--threads 1/2/0`. The
+/// deterministic sections must be byte-identical across the three runs
+/// — the gain model changes *which* test points are picked, never
+/// determinism — and the selections must equal the full-recompute
+/// reference's.
 fn gain_model_mode(model: GainModel) {
     println!(
-        "tpi-bench --gain-model {}: smoke full-scan, threads {THREAD_SETTINGS:?} + scalar",
+        "tpi-bench --gain-model {}: smoke full-scan, threads {THREAD_SETTINGS:?} + reference",
         model.label()
     );
+    let config = TpGreedConfig { gain_model: model, ..TpGreedConfig::default() };
     let mut ok = true;
     for spec in smoke_suite() {
         let n = generate(&spec);
-        let runs: Vec<Run> = THREAD_SETTINGS
-            .iter()
-            .map(|&t| run_gain_model(&n, model, SweepEngine::Lanes, t))
-            .chain(std::iter::once(run_gain_model(&n, model, SweepEngine::Scalar, 1)))
-            .collect();
+        let runs: Vec<Run> =
+            THREAD_SETTINGS.iter().map(|&t| run_full_scan(&n, &spec.name, &config, t)).collect();
         let det = runs[0].metrics.deterministic_json();
         let identical = runs.iter().all(|r| r.metrics.deterministic_json() == det);
+        let (agrees, _) = matches_reference(&n, &config);
         let placed = runs[0].metrics.counter("test_points_placed");
         println!(
             "{:<14} | {:>4} test point(s) | {}",
             spec.name,
             placed,
-            if identical { "byte-identical (lanes × 1/2/0 + scalar)" } else { "MISMATCH" },
+            match (identical, agrees) {
+                (true, true) => "byte-identical (threads 1/2/0), selections = reference",
+                (false, _) => "MISMATCH across threads",
+                (true, false) => "MISMATCH against the reference",
+            },
         );
         if !identical {
             eprintln!("{}: deterministic sections DIFFER under {}", spec.name, model.label());
             ok = false;
         }
+        if !agrees {
+            eprintln!(
+                "{}: selections differ from the reference under {}",
+                spec.name,
+                model.label()
+            );
+            ok = false;
+        }
     }
     if !ok {
-        eprintln!("FAIL: gain model {} is not thread/engine deterministic", model.label());
+        eprintln!("FAIL: gain model {} is not deterministic or not reference-exact", model.label());
         exit(1);
     }
-    println!("OK: {} deterministic sections byte-identical", model.label());
+    println!("OK: {} deterministic sections byte-identical, selections = reference", model.label());
 }
 
 /// `--large` mode: the 50k-gate performance validation (see module docs).
@@ -222,10 +236,11 @@ fn large_mode(emit_bench: Option<String>) {
     let n = generate(&spec);
     println!("{} gates, {} FFs", n.gate_count(), n.dffs().len());
 
-    // The runs: lane engine across the thread sweep, scalar baseline.
+    // The runs: production across the thread sweep, then the reference.
+    let config = TpGreedConfig::default();
     let lane_runs: Vec<Run> =
-        THREAD_SETTINGS.iter().map(|&t| run_large(&n, SweepEngine::Lanes, t)).collect();
-    let scalar = run_large(&n, SweepEngine::Scalar, 1);
+        THREAD_SETTINGS.iter().map(|&t| run_full_scan(&n, &spec.name, &config, t)).collect();
+    let (agrees, reference_micros) = matches_reference(&n, &config);
 
     println!("{:<18} {:>8} | {:>12} {:>12}", "engine", "threads", "wall µs", "tpgreed µs");
     println!("{}", "-".repeat(56));
@@ -238,22 +253,22 @@ fn large_mode(emit_bench: Option<String>) {
             span_micros(&r.metrics, tpi_core::phases::TPGREED)
         );
     }
-    println!(
-        "{:<18} {:>8} | {:>12} {:>12}",
-        "scalar",
-        scalar.threads,
-        scalar.wall_micros,
-        span_micros(&scalar.metrics, tpi_core::phases::TPGREED)
-    );
+    println!("{:<18} {:>8} | {:>12} {:>12}", "reference", 1, "-", reference_micros);
 
     // Gate 1: selections (and every deterministic counter) must be
-    // byte-identical across engines and thread counts.
-    let det = scalar.metrics.deterministic_json();
+    // byte-identical across thread counts, and the selections must equal
+    // the full-recompute reference's.
+    let det = lane_runs[0].metrics.deterministic_json();
     let identical = lane_runs.iter().all(|r| r.metrics.deterministic_json() == det);
     if identical {
-        println!("OK: deterministic sections byte-identical (scalar + lanes × threads 1/2/0)");
+        println!("OK: deterministic sections byte-identical (threads 1/2/0)");
     } else {
-        eprintln!("FAIL: deterministic sections differ between engines/thread counts");
+        eprintln!("FAIL: deterministic sections differ between thread counts");
+    }
+    if agrees {
+        println!("OK: selections equal the full-recompute reference's");
+    } else {
+        eprintln!("FAIL: selections differ from the full-recompute reference");
     }
 
     // Gate 2: the parallel-slowdown regression — tpgreed must not be slower
@@ -268,22 +283,19 @@ fn large_mode(emit_bench: Option<String>) {
         eprintln!("FAIL: tpgreed --threads 0 ({t0} µs) > 1.15 × --threads 1 ({t1} µs)");
     }
 
-    let scalar_tpgreed = span_micros(&scalar.metrics, tpi_core::phases::TPGREED);
-    let speedup = scalar_tpgreed as f64 / t1.max(1) as f64;
-    println!("lane-engine tpgreed speedup vs scalar (threads 1): {speedup:.1}×");
+    let speedup = reference_micros as f64 / t1.max(1) as f64;
+    println!("production tpgreed speedup vs reference (threads 1): {speedup:.1}×");
 
     if let Some(path) = emit_bench {
         let mut workloads_arr = JsonArray::new();
         let mut w = JsonObject::new();
         w.field_str("circuit", &spec.name)
             .field_str("flow", "full-scan")
-            .field_object("counters", counter_object(&scalar.metrics.counters));
+            .field_object("counters", counter_object(&lane_runs[0].metrics.counters));
         let mut runs_arr = JsonArray::new();
-        for (engine, r) in
-            std::iter::once(("scalar", &scalar)).chain(lane_runs.iter().map(|r| ("lanes", r)))
-        {
+        for r in &lane_runs {
             let mut ro = JsonObject::new();
-            ro.field_str("engine", engine)
+            ro.field_str("engine", "lanes")
                 .field_u64("threads", r.threads as u64)
                 .field_u64("wall_micros", r.wall_micros)
                 .field_object("phase_micros", phase_micros(&r.metrics))
@@ -298,10 +310,11 @@ fn large_mode(emit_bench: Option<String>) {
             .field_str("suite", "large")
             .field_str("thread_settings", "1,2,0")
             .field_bool("deterministic_sections_identical", identical)
+            .field_bool("reference_selections_identical", agrees)
             .field_bool("parallel_tpgreed_gate_ok", parallel_ok)
-            .field_u64("scalar_tpgreed_micros_t1", scalar_tpgreed)
+            .field_u64("reference_tpgreed_micros_t1", reference_micros)
             .field_u64("lanes_tpgreed_micros_t1", t1)
-            .field_str("lanes_speedup_vs_scalar_t1", &format!("{speedup:.2}"))
+            .field_str("lanes_speedup_vs_reference_t1", &format!("{speedup:.2}"))
             .field_array("workloads", workloads_arr);
         let mut text = root.finish();
         text.push('\n');
@@ -309,7 +322,7 @@ fn large_mode(emit_bench: Option<String>) {
         println!("wrote bench file to {path}");
     }
 
-    if !identical || !parallel_ok {
+    if !identical || !agrees || !parallel_ok {
         exit(1);
     }
 }

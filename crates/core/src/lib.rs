@@ -15,8 +15,8 @@
 //! * [`paths`] — FF-to-FF combinational path enumeration bounded by
 //!   `K_bound` side inputs, and the sparse path matrix `A` (§III.A);
 //! * [`tpgreed`] — the greedy full-scan insertion algorithm with the gain
-//!   function of Equation 1 (§III.A), in both full-recompute and
-//!   incremental-gain variants (§III.C);
+//!   function of Equation 1 (§III.A), with incremental gain updates
+//!   (§III.C) in production and full recomputation as the test reference;
 //! * [`input_assign`] — realizing test-point constants for free via
 //!   primary-input values (§III.B, in the spirit of ref. \[13\]);
 //! * [`Region`] — the *non-reconvergent fanin region* (§IV.A, Def. 1),
@@ -55,7 +55,7 @@ pub use paths::{
 };
 pub use progress::{CancelKind, Canceled, CounterSnapshot, Progress};
 pub use report::{Table1Row, Table3Row};
-pub use tpgreed::{GainModel, GainUpdate, SweepEngine, TpGreed, TpGreedConfig, TpGreedOutcome};
+pub use tpgreed::{GainModel, TpGreed, TpGreedConfig, TpGreedOutcome};
 pub use tpi_netlist::Region;
 pub use tpi_obs::{FlowMetrics, Recorder};
 pub use tptime::{PlanAction, ScanPlan, ScanPlanner};

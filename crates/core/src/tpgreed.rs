@@ -17,20 +17,21 @@
 //! one incoming and one outgoing path per flip-flop.
 //!
 //! §III.C notes the full gain recomputation after each insertion is
-//! expensive and suggests an incremental alternative; both are available
-//! via [`GainUpdate`]. The paper expects identical selections. Here they
-//! agree on most circuits but not all: on the calibrated `s38417` some
-//! cached incremental gains go stale and the selections part at test
-//! point 200 (both still verify; see the ignored
-//! `incremental_matches_full_on_calibrated_suite` test).
+//! expensive and proposes an incremental alternative that re-evaluates
+//! only the candidates the last insertion can have affected. The
+//! production path, [`TpGreed::run`], is that incremental form. Its
+//! candidate sweeps run on the word-parallel [`LaneEngine`], which
+//! previews 64 candidates per forward pass over two `u64` bit-planes per
+//! net, fanned across `threads` workers. [`TpGreed::run_reference`]
+//! keeps the paper's full recomputation with one scalar `preview_force`
+//! round trip per candidate; it is the oracle the tests compare
+//! production against.
 //!
-//! The candidate-gain sweep itself runs on one of two interchangeable
-//! engines (see [`SweepEngine`]): the scalar `preview_force` round trip,
-//! or the word-parallel [`LaneEngine`] that previews 64 candidates per
-//! forward pass over two `u64` bit-planes per net. Both feed the same
-//! scoring code with identical change/frontier lists, so selections are
-//! byte-identical; the lane engine only changes how fast the answer
-//! arrives.
+//! The paper expects both to select identically. They agree everywhere
+//! tested except the calibrated `s38417`, where some cached incremental
+//! gains go stale and the selections part at test point 200 (both still
+//! verify; see the ignored `incremental_matches_full_on_calibrated_suite`
+//! test).
 
 use crate::arena::{PinRole, SweepArena};
 use crate::paths::{enumerate_paths_with, PathId, PathSet};
@@ -41,43 +42,13 @@ use tpi_netlist::{GateId, GateKind, Netlist};
 use tpi_par::Threads;
 use tpi_sim::{Assignment, Implication, LaneEngine, Trit, LANES};
 
-/// Gain bookkeeping strategy (§III.C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GainUpdate {
-    /// Recompute the gain of every candidate after each insertion — the
-    /// paper's "current implementation".
-    Full,
-    /// Only recompute candidates whose implication cone or touched paths
-    /// were affected by the last insertion — the paper's proposed
-    /// improvement. Selections usually equal [`GainUpdate::Full`]'s but
-    /// can diverge where a cached gain goes stale (see the module docs).
-    #[default]
-    Incremental,
-}
-
-/// Implementation used for the candidate-gain sweep. Every engine
-/// produces byte-identical selections (the change/frontier lists feeding
-/// the scoring code are provably equal — see the lane-equivalence
-/// property tests); the knob exists for benchmarking and bisection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepEngine {
-    /// Pick per sweep: the word-parallel engine once a sweep has enough
-    /// previews to fill lanes, the scalar engine below that.
-    #[default]
-    Auto,
-    /// One `preview_force`/`undo_preview` round trip per candidate.
-    Scalar,
-    /// 64 candidate previews per forward pass (bit-plane lanes).
-    Lanes,
-}
-
 /// Weight model for Equation 1's per-destination contributions.
 ///
 /// Both models rank candidates by the same max-per-destination sum; the
 /// difference is what one destination is worth. The weights are a pure
 /// function of the *base* netlist (computed once before the greedy
-/// loop), so selections stay byte-identical across thread counts and
-/// sweep engines for either model.
+/// loop), so selections stay byte-identical across thread counts for
+/// either model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GainModel {
     /// The paper's Equation 1: every destination flip-flop weighs 1,
@@ -118,8 +89,6 @@ pub struct TpGreedConfig {
     /// Stop when the best gain falls below this value (the paper's
     /// `gain_bound`; experiments use 0.5).
     pub gain_bound: f64,
-    /// Gain bookkeeping strategy.
-    pub gain_update: GainUpdate,
     /// Safety cap on the number of enumerated paths (clamped to
     /// `u32::MAX`, the `PathId` capacity).
     pub max_paths: usize,
@@ -131,9 +100,6 @@ pub struct TpGreedConfig {
     /// (highest gain, then lowest candidate index) never depends on
     /// worker scheduling.
     pub threads: usize,
-    /// Candidate-gain sweep implementation; selections are identical for
-    /// every choice.
-    pub sweep_engine: SweepEngine,
     /// Destination weight model for candidate gains. Unlike the knobs
     /// above, this *changes selections* — it is part of the flow
     /// semantics and of the `tpi-serve` cache key.
@@ -146,10 +112,8 @@ impl Default for TpGreedConfig {
         TpGreedConfig {
             k_bound: 10,
             gain_bound: 0.5,
-            gain_update: GainUpdate::Incremental,
             max_paths: 1 << 22,
             threads: 1,
-            sweep_engine: SweepEngine::Auto,
             gain_model: GainModel::PathCount,
         }
     }
@@ -289,7 +253,6 @@ pub struct TpGreed<'a> {
     established: Vec<PathId>,
     iterations: usize,
     // --- incremental-gain machinery ---
-    gains: Vec<f64>,
     dirty: Vec<bool>,
     /// Registration epoch per candidate: bumped on every
     /// `register_watchers`, so entries from earlier registrations are
@@ -299,13 +262,13 @@ pub struct TpGreed<'a> {
     /// Path -> watching candidates, indexed by path. Stale entries
     /// (epoch no longer current) are dropped lazily on marking and on
     /// re-registration growth. Lane sweeps register batch-wide
-    /// [`WatchEntry::Group`] masks here, like the net/gate lists.
+    /// [`WatchEntry::Group`] masks here, like the gate lists.
     path_watchers: Vec<Vec<WatchEntry>>,
     /// Net -> candidates whose preview determined that net, indexed by
     /// gate. Lane sweeps register whole batches at once (see
     /// [`WatchEntry::Group`]): one entry per *union* net instead of one
-    /// per `(net, lane)` pair — registration is the only per-change cost
-    /// the lane engine would otherwise still pay at scalar rates.
+    /// per `(net, lane)` pair. Candidates whose value the net already
+    /// carries register on the net itself (see [`EvalCtx::classify`]).
     net_watchers: Vec<Vec<WatchEntry>>,
     /// Frontier gates per candidate: a candidate's implication wave can
     /// *extend* through these gates once another insertion determines one
@@ -331,8 +294,8 @@ pub struct TpGreed<'a> {
 /// Reusable scoring scratch: stamp arrays replace the per-preview
 /// sort+dedup of affected paths and the `BTreeMap` of per-destination
 /// maxima with O(1) amortized lookups. One instance lives on [`TpGreed`]
-/// for sequential sweeps; parallel sweeps clone one per worker alongside
-/// the engine.
+/// for sequential sweeps and commits; parallel sweeps clone one per
+/// worker alongside the engine.
 #[derive(Debug, Clone)]
 struct ScoreScratch {
     /// Last stamp that visited each path (dedup across the three reverse
@@ -420,20 +383,15 @@ impl ScoreScratch {
     }
 }
 
-/// One parallel sweep worker: an engine clone plus its scoring scratch.
+/// One parallel sweep worker: a lane-engine clone plus its scoring
+/// scratch.
 #[derive(Clone)]
-struct Worker<E> {
-    eng: E,
+struct Worker {
+    eng: LaneEngine,
     sc: ScoreScratch,
 }
 
 const GAIN_INVALID: f64 = -1.0;
-
-/// Sweeps with at least this many non-trivial previews use the lane
-/// engine under [`SweepEngine::Auto`]: below it, a single batch would run
-/// mostly empty lanes and the scalar engine's smaller per-preview setup
-/// wins.
-const LANE_MIN_PREVIEWS: usize = 16;
 
 /// Per-sweep work threshold for spawning workers, measured in previews:
 /// under ~512 previews the engine clone + thread spawn overhead exceeds
@@ -510,7 +468,6 @@ impl<'a> TpGreed<'a> {
             test_points: Vec::new(),
             established: Vec::new(),
             iterations: 0,
-            gains: vec![0.0; candidate_count],
             dirty: vec![true; candidate_count],
             watch_epoch: vec![0; candidate_count],
             path_watchers: vec![Vec::new(); paths.len()],
@@ -536,7 +493,9 @@ impl<'a> TpGreed<'a> {
         self
     }
 
-    /// Runs the greedy loop to completion and returns the outcome.
+    /// Runs the greedy loop to completion and returns the outcome. This
+    /// is the production path: incremental gain bookkeeping on the
+    /// 64-lane sweep engine.
     ///
     /// # Panics
     /// Panics if the attached [`Progress`] cancels the run; use
@@ -568,19 +527,49 @@ impl<'a> TpGreed<'a> {
         // nothing: establish them before any insertion, as ref. [13]'s
         // cost-free scan does.
         self.establish_ready_paths();
+        self.run_incremental()?;
+        Ok(self.into_outcome())
+    }
 
-        match self.cfg.gain_update {
-            GainUpdate::Full => self.run_full()?,
-            GainUpdate::Incremental => self.run_incremental()?,
+    /// Runs the paper's "current implementation" (§III.C) to completion:
+    /// every round recomputes the gain of every candidate, one scalar
+    /// `preview_force` round trip each, sequentially at any `threads`
+    /// setting. It selects what [`TpGreed::run_with_paths`] selects —
+    /// except where a cached incremental gain goes stale (see the module
+    /// docs) — and is the oracle the tests compare production against.
+    /// Orders of magnitude slower than production; never use it to serve
+    /// work. The attached [`Progress`] is never checked.
+    pub fn run_reference(mut self) -> (TpGreedOutcome, PathSet) {
+        self.establish_ready_paths();
+        let gain_bound = self.cfg.gain_bound;
+        loop {
+            self.iterations += 1;
+            let (ctx, imp, _, sc) = self.sweep_parts();
+            let mut best: Option<(f64, usize)> = None;
+            for cand in 0..2 * ctx.n.gate_count() {
+                let g = match ctx.classify(imp, cand) {
+                    Some(eval) => eval.gain,
+                    None => ctx.evaluate(imp, sc, cand),
+                };
+                if g > 0.0 && g >= gain_bound && best.is_none_or(|(bg, _)| g > bg) {
+                    best = Some((g, cand));
+                }
+            }
+            let Some((_, cand)) = best else { break };
+            self.commit(cand);
         }
+        self.into_outcome()
+    }
 
+    /// Packages the accumulated selections (and the path set they index).
+    fn into_outcome(self) -> (TpGreedOutcome, PathSet) {
         let implied = self
             .n
             .gate_ids()
             .filter(|g| self.imp.value(*g).is_known())
             .map(|g| (g, self.imp.value(g)))
             .collect();
-        Ok((
+        (
             TpGreedOutcome {
                 test_points: self.test_points,
                 scan_paths: self.established,
@@ -589,37 +578,15 @@ impl<'a> TpGreed<'a> {
                 implied,
             },
             self.paths,
-        ))
-    }
-
-    fn run_full(&mut self) -> Result<(), Canceled> {
-        let all: Vec<usize> = (0..self.gains.len()).collect();
-        loop {
-            self.progress.checkpoint()?;
-            self.progress.add_round();
-            self.iterations += 1;
-            let evals = self.sweep_gains(&all, false).evals;
-            let mut best: Option<(f64, usize)> = None;
-            for (cand, e) in evals.iter().enumerate() {
-                let g = e.gain;
-                self.gains[cand] = g;
-                if g > 0.0 && g >= self.cfg.gain_bound && best.is_none_or(|(bg, _)| g > bg) {
-                    best = Some((g, cand));
-                }
-            }
-            let Some((_, cand)) = best else { break };
-            self.commit(cand);
-        }
-        Ok(())
+        )
     }
 
     fn run_incremental(&mut self) -> Result<(), Canceled> {
         // Heap entries carry the candidate's registration epoch at push
         // time: a later re-evaluation bumps the epoch, making every older
-        // entry recognizably stale. (An earlier version compared the
-        // entry's gain against `self.gains[cand]` within an epsilon — a
-        // float-equality proxy that accepted stale entries whenever a
-        // re-evaluation landed within epsilon of the old gain, e.g. under
+        // entry recognizably stale. (Comparing gains instead would be a
+        // float-equality proxy that accepts stale entries whenever a
+        // re-evaluation lands within epsilon of the old gain, e.g. under
         // the `1e-6 * kills` tie-break nudge.)
         let mut heap: BinaryHeap<(OrdF64, std::cmp::Reverse<usize>, u32)> = BinaryHeap::new();
         loop {
@@ -628,11 +595,10 @@ impl<'a> TpGreed<'a> {
             self.iterations += 1;
             // Refresh dirty candidates (ascending order; the parallel
             // sweep returns results in that same order).
-            let dirty: Vec<usize> = (0..self.gains.len()).filter(|&c| self.dirty[c]).collect();
-            let sweep = self.sweep_gains(&dirty, true);
+            let dirty: Vec<usize> = (0..self.dirty.len()).filter(|&c| self.dirty[c]).collect();
+            let sweep = self.sweep_gains(&dirty);
             for (&cand, eval) in dirty.iter().zip(&sweep.evals) {
                 self.dirty[cand] = false;
-                self.gains[cand] = eval.gain;
                 self.register_watchers(cand, eval);
                 if eval.gain > 0.0 && eval.gain >= self.cfg.gain_bound {
                     heap.push((OrdF64(eval.gain), std::cmp::Reverse(cand), self.watch_epoch[cand]));
@@ -664,29 +630,11 @@ impl<'a> TpGreed<'a> {
         Ok(())
     }
 
-    /// Evaluates Equation 1 for every candidate in `cands`, returning the
-    /// results in the same order.
-    ///
-    /// Candidates answered from the committed state alone (ineligible or
-    /// already-forced nets, values the implication already carries) are
-    /// classified out first; the remaining *previews* run on the engine
-    /// selected by `cfg.sweep_engine` — scalar round trips or 64-wide
-    /// lane batches, grouped in candidate order.
-    ///
-    /// With `cfg.threads > 1` and at least [`SPAWN_MIN_PREVIEWS`] worth
-    /// of preview work, the jobs are fanned across a scoped thread pool;
-    /// each worker owns one clone of its engine for the whole sweep, and
-    /// previews stay thread-local to that clone. Evaluations are
-    /// independent — a preview restores the engine exactly (see the
-    /// `implication_preview_roundtrip` property) and the union-find roots
-    /// are snapshotted up front — so the result vector is identical to
-    /// the sequential sweep's, element for element, at every `threads`
-    /// setting and on every engine.
-    fn sweep_gains(&mut self, cands: &[usize], register: bool) -> SweepResult {
-        // The sweep size is a pure function of the netlist and config
-        // (never of worker scheduling), so this counter is identical at
-        // every `threads` setting.
-        self.progress.add_candidates_evaluated(cands.len() as u64);
+    /// Splits the runner into the read-only sweep context and the mutable
+    /// engines and scratch a sequential sweep runs on.
+    fn sweep_parts(
+        &mut self,
+    ) -> (EvalCtx<'_, 'a>, &mut Implication<'a>, &mut LaneEngine, &mut ScoreScratch) {
         // Snapshot the chain-fragment roots so `pair_usable` needs no
         // mutable union-find access inside workers.
         let ff_roots: Vec<usize> = {
@@ -699,18 +647,45 @@ impl<'a> TpGreed<'a> {
             state: &self.state,
             out_taken: &self.out_taken,
             in_taken: &self.in_taken,
-            ff_roots: &ff_roots,
+            ff_roots,
             protected: &self.protected,
             established_net: &self.established_net,
             committed: &self.committed,
             dest_weight: &self.dest_weight,
+            cone_order: &self.cone_order,
         };
+        (ctx, &mut self.imp, &mut self.lanes, &mut self.scratch)
+    }
+
+    /// Evaluates Equation 1 for every candidate in `cands`, returning the
+    /// results in the same order.
+    ///
+    /// Candidates answered from the committed state alone (ineligible or
+    /// already-forced nets, values the implication already carries) are
+    /// classified out first; the remaining *previews* run as 64-wide lane
+    /// batches.
+    ///
+    /// With `cfg.threads > 1` and at least [`SPAWN_MIN_PREVIEWS`] worth
+    /// of preview work, the batches are fanned across a scoped thread
+    /// pool; each worker owns one clone of the lane engine for the whole
+    /// sweep, and previews stay thread-local to that clone. Evaluations
+    /// are independent — a batch restores the engine exactly and the
+    /// union-find roots are snapshotted up front — so the result vector
+    /// is identical to the sequential sweep's, element for element, at
+    /// every `threads` setting.
+    fn sweep_gains(&mut self, cands: &[usize]) -> SweepResult {
+        // The sweep size is a pure function of the netlist and config
+        // (never of worker scheduling), so this counter is identical at
+        // every `threads` setting.
+        self.progress.add_candidates_evaluated(cands.len() as u64);
+        let threads = Threads::from_knob(self.cfg.threads);
+        let (ctx, imp, lanes, sc) = self.sweep_parts();
         // Classify: trivial candidates are answered in place, the rest
         // become preview jobs `(output slot, candidate)`.
         let mut out: Vec<GainEval> = Vec::with_capacity(cands.len());
         let mut jobs: Vec<(u32, u32)> = Vec::new();
         for (slot, &cand) in cands.iter().enumerate() {
-            match ctx.classify(&self.imp, cand, register) {
+            match ctx.classify(imp, cand) {
                 Some(eval) => out.push(eval),
                 None => {
                     out.push(GainEval::default());
@@ -718,98 +693,51 @@ impl<'a> TpGreed<'a> {
                 }
             }
         }
-        if jobs.is_empty() {
-            return SweepResult { evals: out, groups: Vec::new() };
-        }
-        let threads = Threads::from_knob(self.cfg.threads);
-        let use_lanes = match self.cfg.sweep_engine {
-            SweepEngine::Scalar => false,
-            SweepEngine::Lanes => true,
-            SweepEngine::Auto => jobs.len() >= LANE_MIN_PREVIEWS,
-        };
-        let mut group_regs: Vec<GroupReg> = Vec::new();
-        if use_lanes {
-            // Cone-cluster the jobs before chunking: lanes rooted in the
-            // same fanout cone share most of their implication wave, so
-            // the batch's union record — the cost every lane shares —
-            // shrinks. Per-lane results are grouping-independent (each
-            // lane previews its own root) and the slot index maps them
-            // back, so this reorder cannot change any gain. The key
-            // includes the candidate id, making the order total and the
-            // grouping a pure function of the job list, never of
-            // scheduling.
-            jobs.sort_unstable_by_key(|&(_, cand)| (self.cone_order[cand as usize / 2], cand));
-            let groups: Vec<&[(u32, u32)]> = jobs.chunks(LANES).collect();
-            let spawn = threads.get() > 1
-                && jobs.len() >= SPAWN_MIN_PREVIEWS
-                && groups.len() >= threads.get();
-            let results: Vec<(Vec<(u32, GainEval)>, GroupReg)> = if spawn {
-                let proto = Worker { eng: self.lanes.clone(), sc: self.scratch.clone() };
-                tpi_par::map_indexed(threads, groups.len(), &proto, |w, gi| {
-                    ctx.lane_group(&mut w.eng, &mut w.sc, groups[gi], register)
-                })
-            } else {
-                let eng = &mut self.lanes;
-                let sc = &mut self.scratch;
-                groups.iter().map(|group| ctx.lane_group(eng, sc, group, register)).collect()
-            };
-            for (evals, reg) in results {
-                for (slot, eval) in evals {
-                    out[slot as usize] = eval;
-                }
-                if register {
-                    group_regs.push(reg);
-                }
-            }
-        } else if threads.get() > 1 && jobs.len() >= SPAWN_MIN_PREVIEWS {
-            let proto = Worker { eng: self.imp.clone(), sc: self.scratch.clone() };
-            let results = tpi_par::map_indexed(threads, jobs.len(), &proto, |w, i| {
-                ctx.evaluate(&mut w.eng, &mut w.sc, jobs[i].1 as usize, register)
-            });
-            for ((slot, _), eval) in jobs.iter().zip(results) {
-                out[*slot as usize] = eval;
-            }
+        // Cone-cluster the jobs before chunking: lanes rooted in the same
+        // fanout cone share most of their implication wave, so the
+        // batch's union record — the cost every lane shares — shrinks.
+        // Per-lane results are grouping-independent (each lane previews
+        // its own root) and the slot index maps them back, so this
+        // reorder cannot change any gain. The key includes the candidate
+        // id, making the order total and the grouping a pure function of
+        // the job list, never of scheduling.
+        jobs.sort_unstable_by_key(|&(_, cand)| (ctx.cone_order[cand as usize / 2], cand));
+        let groups: Vec<&[(u32, u32)]> = jobs.chunks(LANES).collect();
+        let spawn =
+            threads.get() > 1 && jobs.len() >= SPAWN_MIN_PREVIEWS && groups.len() >= threads.get();
+        let results: Vec<(Vec<(u32, GainEval)>, GroupReg)> = if spawn {
+            let proto = Worker { eng: lanes.clone(), sc: sc.clone() };
+            tpi_par::map_indexed(threads, groups.len(), &proto, |w, gi| {
+                ctx.lane_group(&mut w.eng, &mut w.sc, groups[gi])
+            })
         } else {
-            let imp = &mut self.imp;
-            let sc = &mut self.scratch;
-            for &(slot, cand) in &jobs {
-                out[slot as usize] = ctx.evaluate(imp, sc, cand as usize, register);
+            groups.iter().map(|group| ctx.lane_group(lanes, sc, group)).collect()
+        };
+        let mut group_regs: Vec<GroupReg> = Vec::with_capacity(results.len());
+        for (evals, reg) in results {
+            for (slot, eval) in evals {
+                out[slot as usize] = eval;
             }
+            group_regs.push(reg);
         }
         SweepResult { evals: out, groups: group_regs }
     }
 
-    /// Records one candidate's watcher registrations (incremental mode)
-    /// under a fresh epoch. Entries written under earlier epochs become
-    /// stale and are dropped lazily — on marking, and on append when a
-    /// list is about to grow — so re-evaluating a candidate never
-    /// accumulates duplicate registrations.
+    /// Bumps one candidate's registration epoch — entries written under
+    /// earlier epochs become stale and are dropped lazily, on marking and
+    /// on append when a list is about to grow, so re-evaluating a
+    /// candidate never accumulates duplicate registrations — and records
+    /// its classify-time net registration, if any. Its lane batch's
+    /// registrations follow in [`TpGreed::register_group`].
     fn register_watchers(&mut self, cand: usize, eval: &GainEval) {
         let epoch = self.watch_epoch[cand].wrapping_add(1);
         self.watch_epoch[cand] = epoch;
-        let entry = (cand as u32, epoch);
-        for id in &eval.touched {
-            push_entry_watcher(
-                &mut self.path_watchers[id.index()],
-                &self.watch_epoch,
-                &self.watch_groups,
-                WatchEntry::Cand(entry.0, entry.1),
-            );
-        }
-        for &net in &eval.watch_nets {
+        if let Some(net) = eval.watch_net {
             push_entry_watcher(
                 &mut self.net_watchers[net.index()],
                 &self.watch_epoch,
                 &self.watch_groups,
-                WatchEntry::Cand(entry.0, entry.1),
-            );
-        }
-        for &g in &eval.frontier {
-            push_entry_watcher(
-                &mut self.gate_watchers[g.index()],
-                &self.watch_epoch,
-                &self.watch_groups,
-                WatchEntry::Cand(entry.0, entry.1),
+                WatchEntry::Cand(cand as u32, epoch),
             );
         }
     }
@@ -976,44 +904,26 @@ impl<'a> TpGreed<'a> {
     }
 
     /// Establishes every alive, usable path with `w == 0`, updating chain
-    /// constraints and protections; repeats until none remains.
-    ///
-    /// The repeat matters for the contract, not (today) for the result:
-    /// establishment is monotone-disqualifying — `establish` only unions
-    /// chain fragments, takes endpoint degrees, and protects constants,
-    /// none of which can make a previously skipped path newly ready — so
-    /// a second pass finds nothing and the loop exits after one extra
-    /// sweep. Looping to fixpoint keeps the code correct if establishment
-    /// ever gains a side effect that *enables* paths (say, forcing a
-    /// helper constant), and the `establishment_is_single_pass_stable`
-    /// regression test pins the current one-pass behavior.
+    /// constraints and protections.
     fn establish_ready_paths(&mut self) {
-        loop {
-            let mut established_any = false;
-            for raw in 0..self.state.len() {
-                let id = PathId(raw as u32);
-                let st = self.state[raw];
-                if !st.alive || st.established || st.w != 0 {
-                    continue;
-                }
-                if !self.pair_usable(id) {
-                    continue;
-                }
-                // Double-check liveness against the current implication
-                // state (the cached state is authoritative, but cheap to
-                // re-verify).
-                let (nullified, w) = self.path_status(id);
-                if nullified || w != 0 {
-                    self.state[raw].alive = !nullified;
-                    self.state[raw].w = w;
-                    continue;
-                }
-                self.establish(id);
-                established_any = true;
+        for raw in 0..self.state.len() {
+            let id = PathId(raw as u32);
+            let st = self.state[raw];
+            if !st.alive || st.established || st.w != 0 {
+                continue;
             }
-            if !established_any {
-                break;
+            if !self.pair_usable(id) {
+                continue;
             }
+            // Double-check liveness against the current implication state
+            // (the cached state is authoritative, but cheap to re-verify).
+            let (nullified, w) = self.path_status(id);
+            if nullified || w != 0 {
+                self.state[raw].alive = !nullified;
+                self.state[raw].w = w;
+                continue;
+            }
+            self.establish(id);
         }
     }
 
@@ -1063,31 +973,23 @@ impl<'a> TpGreed<'a> {
     }
 }
 
-/// Result of evaluating one candidate: the Equation 1 gain plus the
-/// watcher registrations the incremental mode needs. Pure data — workers
-/// produce these, the master merges them in candidate order.
-#[derive(Debug, Clone, Default)]
+/// Result of evaluating one candidate: the Equation 1 gain plus, for a
+/// candidate whose value its net already carries, that net to watch.
+/// Pure data — workers produce these, the master merges them in
+/// candidate order.
+#[derive(Debug, Clone, Copy, Default)]
 struct GainEval {
     gain: f64,
-    /// Paths examined under the preview (→ `path_watchers`).
-    touched: Vec<PathId>,
-    /// Nets the preview determined, or the candidate net itself when the
-    /// value was already implied (→ `net_watchers`). Lane sweeps leave
-    /// this empty — their net/frontier registrations travel batched in
-    /// [`GroupReg`].
-    watch_nets: Vec<GateId>,
-    /// Frontier gates of the implication wave (→ `gate_watchers`).
-    frontier: Vec<GateId>,
+    /// Registered in `net_watchers` (see [`EvalCtx::classify`]).
+    watch_net: Option<GateId>,
 }
 
-/// One lane batch's net/frontier registrations, produced by
-/// [`EvalCtx::lane_group`] under `register` and applied by the master
-/// after the per-candidate epoch bumps. Where the scalar path registers
-/// each candidate on each of its changed nets individually, a batch
-/// registers its *union* change record once — one entry per union net
-/// carrying the lanes-changed mask — which is what makes registration
-/// cost per change drop with lane occupancy. Pure data; workers produce
-/// these, the master applies them in group order.
+/// One lane batch's net/frontier/path registrations, produced by
+/// [`EvalCtx::lane_group`] and applied by the master after the
+/// per-candidate epoch bumps. A batch registers its *union* change record
+/// once — one entry per union net carrying the lanes-changed mask — so
+/// registration cost per change drops with lane occupancy. Pure data;
+/// workers produce these, the master applies them in group order.
 #[derive(Debug, Clone, Default)]
 struct GroupReg {
     /// Candidates by lane, in lane order.
@@ -1102,20 +1004,10 @@ struct GroupReg {
 }
 
 /// What a sweep returns: per-candidate evaluations (in candidate order)
-/// plus, for registering lane sweeps, the batch registration records (in
-/// group order).
+/// plus the batch registration records (in group order).
 struct SweepResult {
     evals: Vec<GainEval>,
     groups: Vec<GroupReg>,
-}
-
-/// How much watcher material [`EvalCtx::score_preview`] should collect.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Reg {
-    /// Non-registering sweep (Full mode): collect nothing.
-    Off,
-    /// Scalar sweep: collect touched paths, changed nets and frontier.
-    Full,
 }
 
 /// A net/gate watcher list entry: either one candidate's registration or
@@ -1124,7 +1016,7 @@ enum Reg {
 /// lazily (a lane is stale once its candidate's epoch moved on).
 #[derive(Debug, Clone, Copy)]
 enum WatchEntry {
-    /// `(candidate, epoch)` — scalar and classify-time registrations.
+    /// `(candidate, epoch)` — classify-time registrations.
     Cand(u32, u32),
     /// `(group id, lane mask)` — lane-batch registrations.
     Group(u32, u64),
@@ -1204,9 +1096,9 @@ fn push_entry_watcher(
     list.push(entry);
 }
 
-/// Immutable snapshot of everything `evaluate` reads besides the
-/// implication engine. Shared by reference across workers; the engine
-/// itself is the only mutable piece and each worker owns a clone.
+/// Immutable snapshot of everything a sweep reads besides the engine.
+/// Shared by reference across workers; the engine (with its scoring
+/// scratch) is the only mutable piece and each worker owns a clone.
 struct EvalCtx<'s, 'a> {
     n: &'a Netlist,
     arena: &'s SweepArena,
@@ -1216,7 +1108,7 @@ struct EvalCtx<'s, 'a> {
     /// Union-find roots snapshotted before the sweep (`find` needs
     /// `&mut`, and path compression never changes roots, so a snapshot
     /// is exact).
-    ff_roots: &'s [usize],
+    ff_roots: Vec<usize>,
     /// Dense by gate index; `X` = unprotected.
     protected: &'s [Trit],
     established_net: &'s [bool],
@@ -1225,15 +1117,17 @@ struct EvalCtx<'s, 'a> {
     committed: &'s [Trit],
     /// Per-gate destination weight (see [`TpGreed::dest_weight`]).
     dest_weight: &'s [f64],
+    /// Lane batching sort key (see [`TpGreed::cone_order`]).
+    cone_order: &'s [u32],
 }
 
 impl EvalCtx<'_, '_> {
     /// Answers candidates decidable from the committed state alone,
     /// without a preview; returns `None` when the candidate needs one.
-    /// Every `None` satisfies the preview precondition shared by both
-    /// engines: the net is unforced and the trial value differs from the
-    /// committed value.
-    fn classify(&self, imp: &Implication<'_>, cand: usize, register: bool) -> Option<GainEval> {
+    /// Every `None` satisfies the preview precondition shared by the lane
+    /// and scalar scorers: the net is unforced and the trial value
+    /// differs from the committed value.
+    fn classify(&self, imp: &Implication<'_>, cand: usize) -> Option<GainEval> {
         let (net, value) = decode(cand);
         if !self.is_candidate_net(net) {
             return Some(GainEval { gain: GAIN_INVALID, ..Default::default() });
@@ -1249,36 +1143,27 @@ impl EvalCtx<'_, '_> {
             // No effect *now* — but a later override can revert this
             // net's implied value, so the incremental mode must know to
             // re-examine the candidate when the net changes.
-            let watch_nets = if register { vec![net] } else { Vec::new() };
-            return Some(GainEval { gain: 0.0, watch_nets, ..Default::default() });
+            return Some(GainEval { gain: 0.0, watch_net: Some(net) });
         }
         None
     }
 
-    /// Evaluates Equation 1 for one candidate on the scalar engine. The
-    /// preview is undone before returning, so `imp` is restored exactly
-    /// and evaluations are order-independent. Only called for candidates
+    /// Evaluates Equation 1 for one candidate on the scalar engine — the
+    /// reference scorer [`EvalCtx::lane_group`] must match. The preview
+    /// is undone before returning, so `imp` is restored exactly and
+    /// evaluations are order-independent. Only called for candidates
     /// [`EvalCtx::classify`] passed through.
-    fn evaluate(
-        &self,
-        imp: &mut Implication<'_>,
-        sc: &mut ScoreScratch,
-        cand: usize,
-        register: bool,
-    ) -> GainEval {
+    fn evaluate(&self, imp: &mut Implication<'_>, sc: &mut ScoreScratch, cand: usize) -> f64 {
         let (net, value) = decode(cand);
         let preview = imp.preview_force(net, value);
-        let reg = if register { Reg::Full } else { Reg::Off };
-        let eval =
-            self.score_preview(sc, preview.changes(), preview.frontier(), &|g| imp.value(g), reg);
+        let gain = self.score_preview(sc, preview.changes(), &|g| imp.value(g));
         imp.undo_preview(preview);
-        eval
+        gain
     }
 
     /// Evaluates one lane group — up to [`LANES`] candidates previewed by
     /// a single batched forward pass — returning `(output slot, eval)`
-    /// pairs plus the batch's registration record (empty unless
-    /// `register`).
+    /// pairs plus the batch's registration record.
     ///
     /// Scoring is *union-driven*: instead of reconstructing 64 per-lane
     /// change lists and walking `path_status` per `(path, lane)` pair,
@@ -1295,17 +1180,13 @@ impl EvalCtx<'_, '_> {
     /// per-lane gain then runs the same max-per-destination sum, in the
     /// same ascending destination order, over the same
     /// `dest_weight/st.w` contributions as [`EvalCtx::score_preview`] —
-    /// so gains are
-    /// byte-identical to the scalar engine's (the equivalence tests pin
-    /// this); only the registration *representation* differs (batched
-    /// union records instead of per-candidate lists, marking the same
-    /// candidates dirty on the same commits).
+    /// so gains are byte-identical to the scalar scorer's (the
+    /// equivalence tests pin this).
     fn lane_group(
         &self,
         eng: &mut LaneEngine,
         sc: &mut ScoreScratch,
         group: &[(u32, u32)],
-        register: bool,
     ) -> (Vec<(u32, GainEval)>, GroupReg) {
         let roots: Vec<(GateId, Trit)> =
             group.iter().map(|&(_, cand)| decode(cand as usize)).collect();
@@ -1389,13 +1270,18 @@ impl EvalCtx<'_, '_> {
             let acc = sc.accs[ai];
             let pi = acc.path as usize;
             let st = self.state[pi];
-            // Monotone disqualification — same skip (and same exclusion
-            // from the touched registration) as `score_preview`.
+            // Monotone disqualification — same skip as `score_preview`.
+            // Dead, established, or pair-unusable paths can never
+            // contribute again (nullification and establishment are
+            // permanent, chain endpoints only fill up and fragments only
+            // merge), so they stay out of the path registration too:
+            // candidates stop watching paths that can no longer change
+            // their gain.
             if !st.alive || st.established || !self.pair_usable(PathId(acc.path)) {
                 continue;
             }
             let m = acc.touched & !invalid;
-            if register && m != 0 {
+            if m != 0 {
                 reg_paths.push((acc.path, m));
             }
             let di = self.arena.to_gate(PathId(acc.path)).index() as u32;
@@ -1416,8 +1302,7 @@ impl EvalCtx<'_, '_> {
 
         // --- per-lane gain: max per destination, summed ascending ---
         let mut out = Vec::with_capacity(group.len());
-        for (lane, &(slot, cand)) in group.iter().enumerate() {
-            let _ = cand;
+        for (lane, &(slot, _)) in group.iter().enumerate() {
             let gain = if invalid & (1u64 << lane) != 0 {
                 GAIN_INVALID
             } else {
@@ -1443,136 +1328,100 @@ impl EvalCtx<'_, '_> {
                 }
                 gain
             };
-            out.push((slot, GainEval { gain, ..Default::default() }));
+            out.push((slot, GainEval { gain, watch_net: None }));
         }
 
-        let group_reg = if register {
-            GroupReg {
-                cands: group.iter().map(|&(_, cand)| cand).collect(),
-                nets: eng.union_changes().to_vec(),
-                gates: eng.union_frontier().to_vec(),
-                paths: reg_paths,
-            }
-        } else {
-            GroupReg::default()
+        let group_reg = GroupReg {
+            cands: group.iter().map(|&(_, cand)| cand).collect(),
+            nets: eng.union_changes().to_vec(),
+            gates: eng.union_frontier().to_vec(),
+            paths: reg_paths,
         };
         eng.undo_batch();
         (out, group_reg)
     }
 
-    /// Scores one preview — the engine-independent core of Equation 1.
-    /// `changes` and `frontier` describe the trial implication wave;
-    /// `value` reads the trial value of any net under that wave. Under a
-    /// registering `reg`, the returned [`GainEval`] carries the watcher
-    /// registrations (they are collected even for invalid candidates — an
-    /// invalid implication can become valid or extend after a later
-    /// commit, so the incremental mode must re-examine it when its cone
-    /// changes).
+    /// Scores one scalar preview — Equation 1 written out directly.
+    /// `changes` describes the trial implication wave; `value` reads the
+    /// trial value of any net under that wave.
     fn score_preview(
         &self,
         sc: &mut ScoreScratch,
         changes: &[Assignment],
-        frontier: &[GateId],
         value: &impl Fn(GateId) -> Trit,
-        reg: Reg,
-    ) -> GainEval {
+    ) -> f64 {
         // Validity: the implication must not disturb protected constants
         // or put a constant on an established path.
-        let mut valid = true;
         for a in changes {
             let want = self.protected[a.net.index()];
-            if want != Trit::X && want != a.value {
-                valid = false;
-                break;
-            }
-            if self.established_net[a.net.index()] {
-                valid = false;
-                break;
+            if (want != Trit::X && want != a.value) || self.established_net[a.net.index()] {
+                return GAIN_INVALID;
             }
         }
 
+        // Walk the paths affected by the implied constants, once each:
+        // the stamp array dedups across the three reverse indices and
+        // across changed nets without sorting.
+        let stamp = sc.next_stamp();
+        sc.dests.clear();
+        let mut kills = 0usize;
+        for a in changes {
+            if !self.arena.path_relevant(a.net) {
+                continue; // no path lists this net anywhere
+            }
+            let lists = [
+                self.arena.paths_with_side_source(a.net),
+                self.arena.paths_through(a.net),
+                self.arena.paths_from(a.net),
+            ];
+            for id in lists.into_iter().flatten() {
+                let id = *id;
+                let pi = id.index();
+                if sc.path_stamp[pi] == stamp {
+                    continue;
+                }
+                sc.path_stamp[pi] = stamp;
+                let st = self.state[pi];
+                // Dead, established, or pair-unusable paths can never
+                // contribute again.
+                if !st.alive || st.established || !self.pair_usable(id) {
+                    continue;
+                }
+                let (nullified, new_w) = self.arena.path_status(id, value);
+                if nullified {
+                    kills += 1;
+                    continue;
+                }
+                if new_w >= st.w {
+                    continue; // no progress under this preview
+                }
+                let di = self.arena.to_gate(id).index();
+                let contribution = self.dest_weight[di] / st.w as f64;
+                if sc.dest_stamp[di] != stamp {
+                    sc.dest_stamp[di] = stamp;
+                    sc.dest_best[di] = contribution;
+                    sc.dests.push(di as u32);
+                } else if contribution > sc.dest_best[di] {
+                    sc.dest_best[di] = contribution;
+                }
+            }
+        }
+        // Per-destination maxima (Equation 1's  Σ_j max_i max_p), summed
+        // in ascending destination order: the float sum must accumulate
+        // in a fixed order, or exact gain ties break differently across
+        // runs and engines.
+        sc.dests.sort_unstable();
         let mut gain = 0.0;
-        let mut touched: Vec<PathId> = Vec::new();
-        if valid {
-            // Walk the paths affected by the implied constants, once
-            // each: the stamp array dedups across the three reverse
-            // indices and across changed nets without sorting.
-            let stamp = sc.next_stamp();
-            sc.dests.clear();
-            let mut kills = 0usize;
-            for a in changes {
-                if !self.arena.path_relevant(a.net) {
-                    continue; // no path lists this net anywhere
-                }
-                let lists = [
-                    self.arena.paths_with_side_source(a.net),
-                    self.arena.paths_through(a.net),
-                    self.arena.paths_from(a.net),
-                ];
-                for id in lists.into_iter().flatten() {
-                    let id = *id;
-                    let pi = id.index();
-                    if sc.path_stamp[pi] == stamp {
-                        continue;
-                    }
-                    sc.path_stamp[pi] = stamp;
-                    let st = self.state[pi];
-                    // Dead, established, or pair-unusable paths can never
-                    // contribute again (all three conditions are
-                    // monotone: nullification and establishment are
-                    // permanent, chain endpoints only fill up and
-                    // fragments only merge) — skip them here and leave
-                    // them out of `touched`, so candidates stop watching
-                    // paths whose state can no longer change their gain.
-                    if !st.alive || st.established || !self.pair_usable(id) {
-                        continue;
-                    }
-                    touched.push(id);
-                    let (nullified, new_w) = self.arena.path_status(id, value);
-                    if nullified {
-                        kills += 1;
-                        continue;
-                    }
-                    if new_w >= st.w {
-                        continue; // no progress under this preview
-                    }
-                    let di = self.arena.to_gate(id).index();
-                    let contribution = self.dest_weight[di] / st.w as f64;
-                    if sc.dest_stamp[di] != stamp {
-                        sc.dest_stamp[di] = stamp;
-                        sc.dest_best[di] = contribution;
-                        sc.dests.push(di as u32);
-                    } else if contribution > sc.dest_best[di] {
-                        sc.dest_best[di] = contribution;
-                    }
-                }
-            }
-            // Per-destination maxima (Equation 1's  Σ_j max_i max_p),
-            // summed in ascending destination order: the float sum must
-            // accumulate in a fixed order, or exact gain ties break
-            // differently across runs and engines.
-            sc.dests.sort_unstable();
-            for &di in &sc.dests {
-                gain += sc.dest_best[di as usize];
-            }
-            // Tie-breaker only (Equation 1 stays dominant): between
-            // equal-gain candidates, prefer the one that nullifies fewer
-            // still-usable paths.
-            if gain > 0.0 {
-                gain -= 1e-6 * kills as f64;
-            }
+        for &di in &sc.dests {
+            gain += sc.dest_best[di as usize];
         }
-
-        let (watch_nets, frontier) = if reg == Reg::Full {
-            (changes.iter().map(|a| a.net).collect(), frontier.to_vec())
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        if reg == Reg::Off {
-            touched.clear();
+        // Tie-breaker only (Equation 1 stays dominant): between equal-gain
+        // candidates, prefer the one that nullifies fewer still-usable
+        // paths.
+        if gain > 0.0 {
+            gain -= 1e-6 * kills as f64;
         }
-        let gain = if valid { gain } else { GAIN_INVALID };
-        GainEval { gain, touched, watch_nets, frontier }
+        gain
     }
 
     /// Pairwise usability of a path's endpoints (chain degree and
@@ -1772,16 +1621,8 @@ mod tests {
     #[test]
     fn full_and_incremental_agree() {
         let n = fig1_like();
-        let full = TpGreed::new(
-            &n,
-            TpGreedConfig { gain_update: GainUpdate::Full, ..TpGreedConfig::default() },
-        )
-        .run();
-        let inc = TpGreed::new(
-            &n,
-            TpGreedConfig { gain_update: GainUpdate::Incremental, ..TpGreedConfig::default() },
-        )
-        .run();
+        let (full, _) = TpGreed::new(&n, TpGreedConfig::default()).run_reference();
+        let inc = TpGreed::new(&n, TpGreedConfig::default()).run();
         assert_eq!(full.test_points, inc.test_points);
         assert_eq!(full.scan_paths, inc.scan_paths);
     }
@@ -1851,10 +1692,11 @@ mod tests {
         verify_outcome(&n, &paths, &outcome).unwrap();
     }
 
-    /// Establishment is monotone-disqualifying: once
+    /// Establishment is monotone-disqualifying — `establish` only unions
+    /// chain fragments, takes endpoint degrees and protects constants,
+    /// none of which can make a skipped path newly ready — so once
     /// `establish_ready_paths` returns, an immediate second call finds
-    /// nothing new. This pins the property the fixpoint loop's doc
-    /// relies on (the loop exists for the contract, not the result).
+    /// nothing new. This pins the property its single pass relies on.
     #[test]
     fn establishment_is_single_pass_stable() {
         // A shift register plus the fig1 skeleton: several free paths
@@ -1980,85 +1822,39 @@ mod config_tests {
         }
     }
 
-    /// The `threads` knob must never change the outcome: for both gain
-    /// strategies, every worker count selects the exact same test-point
-    /// sequence and scan paths as the sequential run.
+    /// The `threads` knob must never change the outcome: every worker
+    /// count selects the exact same test-point sequence and scan paths as
+    /// the sequential run.
     #[test]
     fn parallel_selections_match_sequential() {
         for seed in [7, 8, 9] {
             let n = workload(seed);
-            for update in [GainUpdate::Full, GainUpdate::Incremental] {
-                let base = TpGreed::new(
-                    &n,
-                    TpGreedConfig { gain_update: update, threads: 1, ..TpGreedConfig::default() },
-                )
-                .run();
-                for threads in [2, 4, 0] {
-                    let par = TpGreed::new(
-                        &n,
-                        TpGreedConfig { gain_update: update, threads, ..TpGreedConfig::default() },
-                    )
-                    .run();
-                    assert_eq!(
-                        par.test_points, base.test_points,
-                        "seed {seed} {update:?} threads {threads}"
-                    );
-                    assert_eq!(
-                        par.scan_paths, base.scan_paths,
-                        "seed {seed} {update:?} threads {threads}"
-                    );
-                    assert_eq!(
-                        par.iterations, base.iterations,
-                        "seed {seed} {update:?} threads {threads}"
-                    );
-                }
+            let base =
+                TpGreed::new(&n, TpGreedConfig { threads: 1, ..TpGreedConfig::default() }).run();
+            for threads in [2, 4, 0] {
+                let par =
+                    TpGreed::new(&n, TpGreedConfig { threads, ..TpGreedConfig::default() }).run();
+                assert_eq!(par.test_points, base.test_points, "seed {seed} threads {threads}");
+                assert_eq!(par.scan_paths, base.scan_paths, "seed {seed} threads {threads}");
+                assert_eq!(par.iterations, base.iterations, "seed {seed} threads {threads}");
             }
         }
     }
 
-    /// The sweep engine must never change the outcome: Scalar, Lanes and
-    /// Auto select identical test points and scan paths for both gain
-    /// strategies, sequentially and with all hardware threads.
+    /// Production (incremental gains, lane sweeps) selects exactly what
+    /// the full-recompute scalar reference selects, sequentially and with
+    /// all hardware threads.
     #[test]
-    fn sweep_engines_select_identically() {
+    fn production_matches_reference() {
         for seed in [7, 8, 9] {
             let n = workload(seed);
-            for update in [GainUpdate::Full, GainUpdate::Incremental] {
-                let base = TpGreed::new(
-                    &n,
-                    TpGreedConfig {
-                        gain_update: update,
-                        sweep_engine: SweepEngine::Scalar,
-                        ..TpGreedConfig::default()
-                    },
-                )
-                .run();
-                for engine in [SweepEngine::Lanes, SweepEngine::Auto] {
-                    for threads in [1, 0] {
-                        let alt = TpGreed::new(
-                            &n,
-                            TpGreedConfig {
-                                gain_update: update,
-                                sweep_engine: engine,
-                                threads,
-                                ..TpGreedConfig::default()
-                            },
-                        )
-                        .run();
-                        assert_eq!(
-                            alt.test_points, base.test_points,
-                            "seed {seed} {update:?} {engine:?} threads {threads}"
-                        );
-                        assert_eq!(
-                            alt.scan_paths, base.scan_paths,
-                            "seed {seed} {update:?} {engine:?} threads {threads}"
-                        );
-                        assert_eq!(
-                            alt.iterations, base.iterations,
-                            "seed {seed} {update:?} {engine:?} threads {threads}"
-                        );
-                    }
-                }
+            let (base, _) = TpGreed::new(&n, TpGreedConfig::default()).run_reference();
+            for threads in [1, 0] {
+                let prod =
+                    TpGreed::new(&n, TpGreedConfig { threads, ..TpGreedConfig::default() }).run();
+                assert_eq!(prod.test_points, base.test_points, "seed {seed} threads {threads}");
+                assert_eq!(prod.scan_paths, base.scan_paths, "seed {seed} threads {threads}");
+                assert_eq!(prod.iterations, base.iterations, "seed {seed} threads {threads}");
             }
         }
     }

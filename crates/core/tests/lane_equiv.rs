@@ -6,14 +6,14 @@
 //! 1. a property test comparing a full 64-lane batch against 64 scalar
 //!    previews net-for-net — changes, `frontier()`, per-net values, and
 //!    the post-undo state — on randomly generated circuits;
-//! 2. a midsize debug-build check that TPGREED selections are identical
-//!    across gain-update modes (Full/Incremental), sweep engines
-//!    (scalar/lanes) and thread counts;
+//! 2. a midsize debug-build check that TPGREED's production path
+//!    (incremental gains on the lane engine) selects exactly what the
+//!    full-recompute scalar reference selects, at every thread count;
 //! 3. an `#[ignore]`d ≥10k-gate version of (2) that CI runs in release
 //!    (see `ci.sh`).
 
 use proptest::prelude::*;
-use tpi_core::{GainUpdate, SweepEngine, TpGreed, TpGreedConfig};
+use tpi_core::{PathSet, TpGreed, TpGreedConfig, TpGreedOutcome};
 use tpi_netlist::{GateId, Netlist};
 use tpi_sim::{Implication, LaneEngine, Trit, LANES};
 use tpi_workloads::{generate, CircuitSpec, StructureClass};
@@ -110,43 +110,27 @@ proptest! {
 /// the iteration count.
 type Fingerprint = (Vec<(GateId, Trit)>, Vec<(GateId, GateId)>, usize);
 
-/// Runs TPGREED on `n` under the given mode/engine/threads and returns
-/// the deterministic selection fingerprint.
-fn selections(
-    n: &Netlist,
-    gain_update: GainUpdate,
-    engine: SweepEngine,
-    threads: usize,
-) -> Fingerprint {
-    let cfg =
-        TpGreedConfig { gain_update, sweep_engine: engine, threads, ..TpGreedConfig::default() };
-    let (outcome, paths) = TpGreed::new(n, cfg).run_with_paths();
-    (outcome.test_points.clone(), outcome.scan_path_endpoints(&paths), outcome.iterations)
+fn fingerprint((outcome, paths): (TpGreedOutcome, PathSet)) -> Fingerprint {
+    let endpoints = outcome.scan_path_endpoints(&paths);
+    (outcome.test_points, endpoints, outcome.iterations)
 }
 
-/// Every (mode, engine, threads) combination must select byte-identical
-/// test points and scan paths in the same order.
+/// Production at threads 1, 2 and 0 must select byte-identical test
+/// points and scan paths, in the same order, as the reference.
 fn assert_all_agree(n: &Netlist) {
-    let reference = selections(n, GainUpdate::Full, SweepEngine::Scalar, 1);
-    let variants = [
-        (GainUpdate::Incremental, SweepEngine::Scalar, 1),
-        (GainUpdate::Full, SweepEngine::Lanes, 1),
-        (GainUpdate::Incremental, SweepEngine::Lanes, 1),
-        (GainUpdate::Incremental, SweepEngine::Lanes, 2),
-        (GainUpdate::Incremental, SweepEngine::Lanes, 0),
-        (GainUpdate::Incremental, SweepEngine::Auto, 0),
-    ];
-    for (mode, engine, threads) in variants {
+    let reference = fingerprint(TpGreed::new(n, TpGreedConfig::default()).run_reference());
+    for threads in [1, 2, 0] {
+        let cfg = TpGreedConfig { threads, ..TpGreedConfig::default() };
         assert_eq!(
-            selections(n, mode, engine, threads),
+            fingerprint(TpGreed::new(n, cfg).run_with_paths()),
             reference,
-            "{mode:?}/{engine:?}/threads={threads} diverged from Full/Scalar/1"
+            "production at threads={threads} diverged from the reference"
         );
     }
 }
 
 #[test]
-fn engines_and_modes_select_identically_midsize() {
+fn production_matches_reference_midsize() {
     let n = generate(&CircuitSpec {
         name: "midsize".into(),
         inputs: 12,
@@ -164,7 +148,7 @@ fn engines_and_modes_select_identically_midsize() {
 /// the debug tier — `ci.sh` runs it with `--release -- --include-ignored`.
 #[test]
 #[ignore = "release-only: run via ci.sh or --include-ignored"]
-fn engines_and_modes_select_identically_10k() {
+fn production_matches_reference_10k() {
     let n = generate(&CircuitSpec {
         name: "deep10k".into(),
         inputs: 40,

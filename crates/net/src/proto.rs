@@ -10,7 +10,7 @@
 
 use std::fmt;
 use std::time::Duration;
-use tpi_core::tpgreed::{GainModel, GainUpdate};
+use tpi_core::tpgreed::GainModel;
 use tpi_core::{FlowOptions, PartialScanMethod, TpGreedConfig};
 use tpi_serve::{CacheSource, FlowKind, JobReport, JobSpec, JobStatus, NetlistSource};
 
@@ -192,10 +192,10 @@ impl WireRequest {
                 out.push(0);
                 out.extend_from_slice(&(cfg.k_bound as u64).to_le_bytes());
                 out.extend_from_slice(&cfg.gain_bound.to_bits().to_le_bytes());
-                out.push(match cfg.gain_update {
-                    GainUpdate::Full => 0,
-                    GainUpdate::Incremental => 1,
-                });
+                // The retired `gain_update` byte keeps its offset, so no
+                // later field shifts under an older peer: 1 (incremental)
+                // is the only bookkeeping a server runs.
+                out.push(1);
                 out.extend_from_slice(&(cfg.max_paths as u64).to_le_bytes());
                 out.push(match cfg.gain_model {
                     GainModel::PathCount => 0,
@@ -232,11 +232,12 @@ impl WireRequest {
             0 => {
                 let k_bound = r.u64("k_bound")? as usize;
                 let gain_bound = r.f64("gain_bound")?;
-                let gain_update = match r.u8("gain_update")? {
-                    0 => GainUpdate::Full,
-                    1 => GainUpdate::Incremental,
+                // A request for full recomputation (0) gets a typed
+                // refusal rather than a silent incremental run.
+                match r.u8("gain_update")? {
+                    1 => {}
                     tag => return Err(ProtoError::BadTag { field: "gain_update", tag }),
-                };
+                }
                 let max_paths = r.u64("max_paths")? as usize;
                 let gain_model = match r.u8("gain_model")? {
                     0 => GainModel::PathCount,
@@ -246,7 +247,6 @@ impl WireRequest {
                 FlowKind::FullScan(TpGreedConfig {
                     k_bound,
                     gain_bound,
-                    gain_update,
                     max_paths,
                     gain_model,
                     ..TpGreedConfig::default()
@@ -718,11 +718,9 @@ mod tests {
         let cfg = TpGreedConfig {
             k_bound: 3,
             gain_bound: 1.5,
-            gain_update: GainUpdate::Incremental,
             max_paths: 999,
             gain_model: GainModel::Scoap,
             threads: 8, // must NOT survive: worker sizing is the server's
-            ..TpGreedConfig::default()
         };
         let req = WireRequest {
             flow: FlowKind::FullScan(cfg),
@@ -735,12 +733,37 @@ mod tests {
             FlowKind::FullScan(c) => {
                 assert_eq!(c.k_bound, 3);
                 assert_eq!(c.gain_bound, 1.5);
-                assert_eq!(c.gain_update, GainUpdate::Incremental);
                 assert_eq!(c.max_paths, 999);
                 assert_eq!(c.gain_model, GainModel::Scoap);
                 assert_eq!(c.threads, TpGreedConfig::default().threads);
             }
             _ => panic!("flow kind changed on the wire"),
+        }
+    }
+
+    /// The `gain_update` byte sits right after `flow`, `k_bound` and
+    /// `gain_bound`. Encode always writes 1 (incremental); a request for
+    /// full recomputation (0), or any other tag, is refused by type.
+    #[test]
+    fn full_recompute_request_is_a_bad_tag() {
+        let req = WireRequest {
+            flow: FlowKind::FullScan(TpGreedConfig::default()),
+            deadline: None,
+            blif: String::new(),
+            peers: Vec::new(),
+        };
+        let mut bytes = req.encode();
+        const GAIN_UPDATE_AT: usize = 1 + 8 + 8;
+        assert_eq!(bytes[GAIN_UPDATE_AT], 1);
+        for tag in [0u8, 2] {
+            bytes[GAIN_UPDATE_AT] = tag;
+            assert!(
+                matches!(
+                    WireRequest::decode(&bytes),
+                    Err(ProtoError::BadTag { field: "gain_update", tag: t }) if t == tag
+                ),
+                "gain_update tag {tag} must be refused"
+            );
         }
     }
 

@@ -427,6 +427,26 @@ impl Waker {
             let _ = (&self.tx).write(&[1u8]);
         }
     }
+
+    /// Consumes every wake byte on `rx`, then re-arms [`Waker::wake`].
+    /// Clearing `pending` first would lose wakeups: a `wake` landing
+    /// between the clear and the read writes a byte the same read eats,
+    /// leaving `pending` set with no byte in flight, and every later
+    /// `wake` suppressed. Clearing last is safe: a `wake` that still sees
+    /// `pending` set queued its completion before this returned, and the
+    /// caller drains completions next.
+    fn drain(&self, rx: &TcpStream) {
+        let mut buf = [0u8; 64];
+        loop {
+            match (&*rx).read(&mut buf) {
+                Ok(0) => break, // waker closed; completions still drain via timeout
+                Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break, // WouldBlock: the socket is empty
+            }
+        }
+        self.pending.store(false, Ordering::SeqCst);
+    }
 }
 
 /// Builds the waker pair: `rx` joins the poll set, `tx` goes to worker
@@ -599,7 +619,7 @@ impl<H: FrameHandler> PollLoop<H> {
                 self.accept_ready();
             }
             if fds[1].revents & POLLIN != 0 {
-                self.drain_waker();
+                self.waker.drain(&self.wake_rx);
             }
             self.drain_completions();
 
@@ -664,20 +684,6 @@ impl<H: FrameHandler> PollLoop<H> {
             // The first frame may already be on the wire.
             self.conn_readable(token);
             self.reap_if_done(token);
-        }
-    }
-
-    fn drain_waker(&mut self) {
-        self.waker.pending.store(false, Ordering::SeqCst);
-        let mut buf = [0u8; 64];
-        loop {
-            match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => return, // waker closed; completions still drain via timeout
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
         }
     }
 
@@ -1063,4 +1069,55 @@ fn metrics_json<H: FrameHandler>(state: &ServerState, handler: &H) -> String {
     let (name, json) = handler.snapshot();
     o.field_raw(name, &json);
     o.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// Wakers hammer `wake()` while one thread drains the way the poll
+    /// loop does: only when a byte is readable. At quiescence, either
+    /// `pending` is clear or a byte is waiting — otherwise a wakeup was
+    /// lost and every later `wake()` would be suppressed for good.
+    #[test]
+    fn concurrent_wakes_are_never_lost() {
+        let (rx, tx) = waker_pair().unwrap();
+        let waker = Arc::new(Waker { tx, pending: AtomicBool::new(false) });
+        let stop = Arc::new(AtomicBool::new(false));
+        let wakers: Vec<_> = (0..2)
+            .map(|_| {
+                let (waker, stop) = (Arc::clone(&waker), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        waker.wake();
+                    }
+                })
+            })
+            .collect();
+        let readable = |rx: &TcpStream| matches!(rx.peek(&mut [0u8; 1]), Ok(n) if n > 0);
+        let deadline = Instant::now() + Duration::from_millis(500);
+        let mut drains = 0u32;
+        while Instant::now() < deadline {
+            if readable(&rx) {
+                waker.drain(&rx);
+                drains += 1;
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        for w in wakers {
+            w.join().unwrap();
+        }
+        // Give an in-flight loopback byte time to land before judging.
+        let settle = Instant::now() + Duration::from_millis(200);
+        while waker.pending.load(Ordering::SeqCst) && !readable(&rx) && Instant::now() < settle {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(
+            !waker.pending.load(Ordering::SeqCst) || readable(&rx),
+            "lost wakeup: pending set with no byte in flight after {drains} drains"
+        );
+    }
 }

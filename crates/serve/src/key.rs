@@ -23,7 +23,7 @@
 
 use crate::job::FlowKind;
 use std::fmt;
-use tpi_core::tpgreed::{GainModel, GainUpdate};
+use tpi_core::tpgreed::GainModel;
 use tpi_core::PartialScanMethod;
 use tpi_netlist::{GateId, GateKind, Netlist};
 
@@ -247,10 +247,9 @@ pub fn cache_key(fingerprint: u64, flow: &FlowKind) -> CacheKey {
             h.write_str("full-scan");
             h.write_u64(cfg.k_bound as u64);
             h.write_f64(cfg.gain_bound);
-            h.write_str(match cfg.gain_update {
-                GainUpdate::Full => "full",
-                GainUpdate::Incremental => "incremental",
-            });
+            // Fixed label of the one gain bookkeeping there is, kept so
+            // every key minted while it was a knob stays valid.
+            h.write_str("incremental");
             h.write_u64(cfg.max_paths as u64);
             // The gain model changes selections, so it must split the
             // cache. Hashed as a marker only for non-default models:

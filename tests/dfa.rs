@@ -11,14 +11,14 @@
 //!   transparent `Buf` into every edge must leave every original gate's
 //!   SCOAP triple unchanged.
 //! * **Flow contracts** — `GainModel::Scoap` selections are byte-stable
-//!   across worker counts *and* sweep engines.
+//!   across worker counts and match the full-recompute reference.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use scanpath::dfa::{DomTree, Scoap};
 use scanpath::netlist::{GateId, GateKind, Netlist};
 use scanpath::sim::NetView;
-use scanpath::tpi::{FlowOptions, FullScanFlow, GainModel, SweepEngine, TpGreedConfig};
+use scanpath::tpi::{FlowOptions, FullScanFlow, GainModel, TpGreed, TpGreedConfig};
 use scanpath::workloads::{generate, smoke_suite, CircuitSpec, StructureClass};
 use std::collections::{HashMap, HashSet};
 
@@ -256,28 +256,23 @@ proptest! {
 fn scoap_selections_are_thread_and_engine_independent() {
     let spec = &smoke_suite()[0];
     let n = generate(spec);
+    let config = TpGreedConfig { gain_model: GainModel::Scoap, ..TpGreedConfig::default() };
+    let flow = FullScanFlow { config: config.clone(), ..FullScanFlow::default() };
     let mut dets = Vec::new();
-    for engine in [SweepEngine::Scalar, SweepEngine::Lanes] {
-        let flow = FullScanFlow {
-            config: TpGreedConfig {
-                gain_model: GainModel::Scoap,
-                sweep_engine: engine,
-                ..TpGreedConfig::default()
-            },
-            ..FullScanFlow::default()
-        };
-        for threads in [1usize, 0] {
-            let r = flow
-                .run_with(&n, &FlowOptions::new().with_threads(threads))
-                .expect("scoap full-scan runs");
-            dets.push((engine, threads, r.metrics.deterministic_json()));
-        }
+    for threads in [1usize, 2, 0] {
+        let r = flow
+            .run_with(&n, &FlowOptions::new().with_threads(threads))
+            .expect("scoap full-scan runs");
+        dets.push((threads, r.metrics.deterministic_json()));
     }
-    for (engine, threads, det) in &dets[1..] {
-        assert_eq!(
-            det, &dets[0].2,
-            "{engine:?} --threads {threads} diverged from {:?} --threads {}",
-            dets[0].0, dets[0].1
-        );
+    for (threads, det) in &dets[1..] {
+        assert_eq!(det, &dets[0].1, "--threads {threads} diverged from --threads 1");
     }
+    // The production path selects what the full-recompute scalar
+    // reference selects under the SCOAP weights too.
+    let (prod, paths) = TpGreed::new(&n, config.clone()).run_with_paths();
+    let (reference, _) = TpGreed::new(&n, config).run_reference();
+    assert_eq!(prod.test_points, reference.test_points);
+    assert_eq!(prod.scan_path_endpoints(&paths), reference.scan_path_endpoints(&paths));
+    assert_eq!(prod.iterations, reference.iterations);
 }

@@ -10,46 +10,40 @@
 //! cargo test --release --test parallel_suite -- --include-ignored
 //! ```
 
-use scanpath::tpi::tpgreed::{GainUpdate, TpGreed, TpGreedConfig};
+use scanpath::tpi::tpgreed::{TpGreed, TpGreedConfig};
 use scanpath::workloads::{generate, suite};
 
-fn assert_threads_invariant(name: &str, update: GainUpdate) {
+fn assert_threads_invariant(name: &str) {
     let spec = suite().into_iter().find(|s| s.name == name).expect("suite circuit");
     let n = generate(&spec);
-    let cfg = TpGreedConfig { gain_update: update, ..TpGreedConfig::default() };
-    let seq = TpGreed::new(&n, TpGreedConfig { threads: 1, ..cfg.clone() }).run();
+    let seq = TpGreed::new(&n, TpGreedConfig { threads: 1, ..TpGreedConfig::default() }).run();
     for threads in [2usize, 4, 0] {
-        let par = TpGreed::new(&n, TpGreedConfig { threads, ..cfg.clone() }).run();
+        let par = TpGreed::new(&n, TpGreedConfig { threads, ..TpGreedConfig::default() }).run();
         assert_eq!(
             par.test_points, seq.test_points,
-            "{name} {update:?}: test points diverged at threads={threads}"
+            "{name}: test points diverged at threads={threads}"
         );
         assert_eq!(
             par.scan_paths, seq.scan_paths,
-            "{name} {update:?}: scan paths diverged at threads={threads}"
+            "{name}: scan paths diverged at threads={threads}"
         );
-        assert_eq!(par.iterations, seq.iterations, "{name} {update:?} threads={threads}");
+        assert_eq!(par.iterations, seq.iterations, "{name} threads={threads}");
     }
 }
 
 #[test]
 fn small_suite_parallel_matches_sequential() {
     for name in ["s5378", "s9234", "bigkey", "dsip", "mult32a", "mult32b"] {
-        assert_threads_invariant(name, GainUpdate::Incremental);
+        assert_threads_invariant(name);
     }
 }
 
-/// The whole suite under the default (incremental) strategy, plus the
-/// O(candidates · iterations) full-recompute strategy on the circuits
-/// where it finishes in reasonable time. Expensive; run in release mode
-/// with `--include-ignored` (see the module docs).
+/// The whole suite. Expensive; run in release mode with
+/// `--include-ignored` (see the module docs).
 #[test]
 #[ignore = "whole-suite sweep; run in release mode"]
 fn full_suite_parallel_matches_sequential() {
     for spec in suite() {
-        assert_threads_invariant(&spec.name, GainUpdate::Incremental);
-    }
-    for name in ["s5378", "s9234", "bigkey", "dsip", "mult32a", "mult32b"] {
-        assert_threads_invariant(name, GainUpdate::Full);
+        assert_threads_invariant(&spec.name);
     }
 }

@@ -6,7 +6,7 @@ use scanpath::netlist::{GateKind, Netlist, TechLibrary};
 use scanpath::scan::SGraph;
 use scanpath::sim::{Implication, Trit};
 use scanpath::sta::{ClockConstraint, Sta};
-use scanpath::tpi::tpgreed::{verify_outcome, GainUpdate, TpGreed, TpGreedConfig};
+use scanpath::tpi::tpgreed::{verify_outcome, TpGreed, TpGreedConfig};
 use scanpath::tpi::{enumerate_paths, Region};
 use scanpath::workloads::{generate, CircuitSpec, StructureClass};
 
@@ -92,38 +92,30 @@ proptest! {
         }
     }
 
-    /// TPGREED outcomes verify from scratch, and both gain-update modes
-    /// select identically.
+    /// TPGREED outcomes verify from scratch, and production selects what
+    /// the full-recompute reference selects.
     #[test]
     fn tpgreed_outcome_verifies(spec in spec_strategy()) {
         let n = generate(&spec);
         let cfg = TpGreedConfig::default();
         let (outcome, paths) = TpGreed::new(&n, cfg.clone()).run_with_paths();
         verify_outcome(&n, &paths, &outcome).unwrap();
-        let full = TpGreed::new(
-            &n,
-            TpGreedConfig { gain_update: GainUpdate::Full, ..cfg },
-        )
-        .run();
+        let (full, _) = TpGreed::new(&n, cfg).run_reference();
         prop_assert_eq!(&full.test_points, &outcome.test_points);
         prop_assert_eq!(&full.scan_paths, &outcome.scan_paths);
     }
 
     /// The `threads` knob never changes TPGREED's selections: the
     /// parallel sweep (4 workers) produces the exact `test_points` and
-    /// `scan_paths` sequences of the sequential run, for both gain-update
-    /// strategies.
+    /// `scan_paths` sequences of the sequential run.
     #[test]
     fn tpgreed_parallel_matches_sequential(spec in spec_strategy()) {
         let n = generate(&spec);
-        for update in [GainUpdate::Full, GainUpdate::Incremental] {
-            let cfg = TpGreedConfig { gain_update: update, ..TpGreedConfig::default() };
-            let seq = TpGreed::new(&n, TpGreedConfig { threads: 1, ..cfg.clone() }).run();
-            let par = TpGreed::new(&n, TpGreedConfig { threads: 4, ..cfg }).run();
-            prop_assert_eq!(&par.test_points, &seq.test_points, "{:?}", update);
-            prop_assert_eq!(&par.scan_paths, &seq.scan_paths, "{:?}", update);
-            prop_assert_eq!(par.iterations, seq.iterations, "{:?}", update);
-        }
+        let seq = TpGreed::new(&n, TpGreedConfig { threads: 1, ..TpGreedConfig::default() }).run();
+        let par = TpGreed::new(&n, TpGreedConfig { threads: 4, ..TpGreedConfig::default() }).run();
+        prop_assert_eq!(&par.test_points, &seq.test_points);
+        prop_assert_eq!(&par.scan_paths, &seq.scan_paths);
+        prop_assert_eq!(par.iterations, seq.iterations);
     }
 
     /// Scan-path endpoints form vertex-disjoint simple paths (in/out

@@ -16,7 +16,7 @@ use scanpath::netlist::{parse_blif, write_blif, GateKind, Netlist, TechLibrary};
 use scanpath::scan::SGraph;
 use scanpath::sim::{Implication, Trit};
 use scanpath::sta::{ClockConstraint, Sta};
-use scanpath::tpi::tpgreed::{verify_outcome, GainUpdate, TpGreed, TpGreedConfig};
+use scanpath::tpi::tpgreed::{verify_outcome, TpGreed, TpGreedConfig};
 use scanpath::tpi::{enumerate_paths, Region};
 use scanpath::workloads::{generate, suite, CircuitSpec, StructureClass};
 
@@ -132,7 +132,7 @@ fn replay_spec_only_properties(spec: &CircuitSpec) {
     let cfg = TpGreedConfig::default();
     let (outcome, paths) = TpGreed::new(&n, cfg.clone()).run_with_paths();
     verify_outcome(&n, &paths, &outcome).unwrap();
-    let full = TpGreed::new(&n, TpGreedConfig { gain_update: GainUpdate::Full, ..cfg }).run();
+    let (full, _) = TpGreed::new(&n, cfg).run_reference();
     assert_eq!(&full.test_points, &outcome.test_points);
     assert_eq!(&full.scan_paths, &outcome.scan_paths);
 
@@ -191,14 +191,12 @@ fn via_blif(spec: &CircuitSpec) -> Netlist {
     parse_blif(&write_blif(&generate(spec))).expect("generated BLIF parses")
 }
 
-/// Runs TPGREED with both gain-update strategies and asserts the
-/// incremental selection verifies and equals the full recomputation's.
+/// Runs TPGREED's production path and the full-recompute reference and
+/// asserts the incremental selection verifies and equals the full
+/// recomputation's.
 fn assert_incremental_matches_full(n: &Netlist) {
-    let run = |gain_update| {
-        TpGreed::new(n, TpGreedConfig { gain_update, ..TpGreedConfig::default() }).run_with_paths()
-    };
-    let (incremental, paths) = run(GainUpdate::Incremental);
-    let (full, _) = run(GainUpdate::Full);
+    let (incremental, paths) = TpGreed::new(n, TpGreedConfig::default()).run_with_paths();
+    let (full, _) = TpGreed::new(n, TpGreedConfig::default()).run_reference();
     verify_outcome(n, &paths, &incremental)
         .unwrap_or_else(|e| panic!("{}: incremental outcome does not verify: {e}", n.name()));
     assert_eq!(incremental.test_points, full.test_points, "{}: test points", n.name());
