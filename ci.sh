@@ -19,6 +19,11 @@ cargo clippy -p tpi-dfa --all-targets -- -D warnings
 echo "== tier-1 tests (root package) =="
 cargo test -q
 
+echo "== tpi-dfa oracles, release, industrial ladder included =="
+# The SCOAP and X-reach oracles on ~31k-125k-gate industrial designs,
+# plus the flat-work-per-gate check that keeps the analyses linear.
+cargo test --release --offline --test dfa -- --include-ignored
+
 echo "== perfbench tests, ignored ones included (public API the benchmark drives) =="
 # perfbench is its own workspace: a public-API deletion that breaks the
 # benchmark, or a regression of the re-drawn s15850 TPGREED run, fails

@@ -280,13 +280,15 @@ impl FullScanFlow {
         gain_model: GainModel,
     ) -> Result<FullScanResult, FlowError> {
         progress.checkpoint()?;
-        {
+        // TPGREED's `GainModel::Scoap` weights reuse this SCOAP result.
+        let scoap = {
             let _s = rec.span(phases::ANALYSIS);
             let analysis = tpi_dfa::NetlistAnalysis::run(&tpi_sim::NetView::new(n));
             for (k, v) in analysis.metrics() {
                 rec.add_analysis(k, v);
             }
-        }
+            (gain_model == GainModel::Scoap).then_some(analysis.scoap)
+        };
         progress.checkpoint()?;
         let paths = {
             let _s = rec.span(phases::ENUMERATE_PATHS);
@@ -302,7 +304,7 @@ impl FullScanFlow {
             let mut cfg = self.config.clone();
             cfg.threads = threads;
             cfg.gain_model = gain_model;
-            TpGreed::with_paths(n, cfg, paths)
+            TpGreed::with_analysis(n, cfg, paths, scoap.as_ref())
                 .with_progress(Arc::clone(progress))
                 .try_run_with_paths()?
         };

@@ -80,6 +80,14 @@ impl GainModel {
 /// `tpi_dfa::SAT`) is "maximally hard" with weight `1 + cap/1024`.
 const SCOAP_BURDEN_CAP: u32 = 1 << 20;
 
+/// Per-gate [`GainModel::Scoap`] destination weights: `1 + burden/1024`,
+/// the burden capped at [`SCOAP_BURDEN_CAP`].
+fn scoap_weights(scoap: &tpi_dfa::Scoap) -> Vec<f64> {
+    (0..scoap.co.len())
+        .map(|g| 1.0 + f64::from(scoap.burden(g).min(SCOAP_BURDEN_CAP)) / 1024.0)
+        .collect()
+}
+
 /// Configuration for [`TpGreed`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TpGreedConfig {
@@ -416,6 +424,18 @@ impl<'a> TpGreed<'a> {
 
     /// Like [`TpGreed::new`] but reuses a pre-enumerated [`PathSet`].
     pub fn with_paths(n: &'a Netlist, cfg: TpGreedConfig, paths: PathSet) -> Self {
+        Self::with_analysis(n, cfg, paths, None)
+    }
+
+    /// Like [`TpGreed::with_paths`], reusing `scoap` — computed on `n` —
+    /// for the [`GainModel::Scoap`] weights instead of recomputing it.
+    /// The full-scan flow passes the analysis phase's result.
+    pub(crate) fn with_analysis(
+        n: &'a Netlist,
+        cfg: TpGreedConfig,
+        paths: PathSet,
+        scoap: Option<&tpi_dfa::Scoap>,
+    ) -> Self {
         let imp = Implication::new(n);
         let lanes = LaneEngine::mirror(&imp);
         let arena = SweepArena::build(n, &paths);
@@ -444,12 +464,10 @@ impl<'a> TpGreed<'a> {
         let cone_order = imp.view().cone_order();
         let dest_weight = match cfg.gain_model {
             GainModel::PathCount => vec![1.0; n.gate_count()],
-            GainModel::Scoap => {
-                let scoap = tpi_dfa::Scoap::analyze(imp.view());
-                (0..n.gate_count())
-                    .map(|g| 1.0 + f64::from(scoap.burden(g).min(SCOAP_BURDEN_CAP)) / 1024.0)
-                    .collect()
-            }
+            GainModel::Scoap => match scoap {
+                Some(scoap) => scoap_weights(scoap),
+                None => scoap_weights(&tpi_dfa::Scoap::analyze(imp.view())),
+            },
         };
         TpGreed {
             n,

@@ -104,12 +104,15 @@ impl DomTree {
         let n = self.gates;
         let mut size = vec![1u32; n + 1];
         // Children have strictly larger ord than their idom, so one
-        // sweep in decreasing-ord order accumulates bottom-up. The
+        // sweep in decreasing-ord order accumulates bottom-up. `ord` is
+        // a permutation of 0..=n, so inverting it is one pass. The
         // processing order was [S, topo reversed]; its reverse is topo
         // order followed by the sink (which has no idom edge to push).
-        let mut by_ord: Vec<u32> = (0..=n as u32).collect();
-        by_ord.sort_unstable_by_key(|&v| std::cmp::Reverse(self.ord[v as usize]));
-        for &v in &by_ord {
+        let mut by_ord = vec![0u32; n + 1];
+        for (v, &o) in self.ord.iter().enumerate() {
+            by_ord[o as usize] = v as u32;
+        }
+        for &v in by_ord.iter().rev() {
             let d = self.idom[v as usize];
             if d != UNREACHABLE && v != self.sink() {
                 size[d as usize] += size[v as usize];

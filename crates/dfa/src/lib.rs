@@ -11,16 +11,18 @@
 //!   flip-flops.
 //!
 //! The framework contract, shared by all three: every analysis is a
-//! pure function of the snapshot, sweeps run in the view's
-//! deterministic topo order (forward or reversed), transfer functions
-//! are monotone on their lattice (saturating `u32` min-cost for SCOAP,
-//! the dominator semilattice under [`DomTree`]'s intersection, bitwise
-//! OR for X planes), and sequential loops are closed by
-//! [`fixpoint`]-style iterate-to-convergence with an asserted pass
-//! bound. Nothing here depends on thread count, hash order, or
-//! allocation addresses, so results are byte-identical across
-//! `--threads 1/2/0` by construction — the same determinism contract
-//! the rest of the workspace gates in CI.
+//! pure function of the snapshot, and its work is proportional to what
+//! changes, not to repeated whole-netlist sweeps. Visits run in the
+//! view's deterministic topo order (forward or reversed), and transfer
+//! functions are monotone on their lattice (saturating `u32` min-cost
+//! for SCOAP, the dominator semilattice under [`DomTree`]'s
+//! intersection, bitwise OR for X planes). SCOAP's sequential loops
+//! close through dirty-set rounds that revisit only gates whose inputs
+//! changed, under [`fixpoint`] with an asserted round bound; X-reach
+//! walks each flip-flop chunk's fanout cone. Nothing here depends on
+//! thread count, hash order, or allocation addresses, so results are
+//! byte-identical across `--threads 1/2/0` by construction — the same
+//! determinism contract the rest of the workspace gates in CI.
 //!
 //! Consumers: `tpi-lint` surfaces the results as TPI200-series
 //! diagnostics and the `--analysis` table; `tpi-core` ranks TPGREED
@@ -40,21 +42,22 @@
 
 mod dominators;
 mod scoap;
+mod worklist;
 mod xprop;
 
 pub use dominators::{DomTree, UNREACHABLE};
-pub use scoap::{Scoap, SAT};
+pub use scoap::{cc_of, co_of, Scoap, SAT};
 pub use xprop::XReach;
 
 use tpi_sim::NetView;
 
-/// Runs `pass` — one monotone sweep returning whether anything changed
-/// — until the fixpoint, asserting it lands within `bound` sweeps.
-/// Returns the number of sweeps run (including the final no-change
+/// Runs `pass` — one monotone round returning whether anything changed
+/// — until the fixpoint, asserting it lands within `bound` rounds.
+/// Returns the number of rounds run (including the final no-change
 /// confirmation).
 ///
 /// # Panics
-/// Panics if the fixpoint takes more than `bound` sweeps, which for a
+/// Panics if the fixpoint takes more than `bound` rounds, which for a
 /// monotone transfer function on a finite lattice indicates a bug.
 pub fn fixpoint(name: &str, bound: u32, mut pass: impl FnMut() -> bool) -> u32 {
     let mut sweeps = 0u32;

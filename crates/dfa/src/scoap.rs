@@ -17,22 +17,35 @@
 //! testability, and the proptests in `tests/dfa.rs` pin both.
 //!
 //! Flip-flops participate through a fixpoint: `CC(q) = CC(d) + 1` and
-//! `CO(d) = CO(q) + 1`. Values start at [`SAT`] and the monotone pass
-//! ([`forward`]/[`backward`]) repeats until nothing changes. The pass
-//! bound comes from counting distinct lattice points on one root-to-leaf
-//! path of the optimal derivation: every flip-flop crossing adds +1, so
-//! the same *point* can never repeat on a path (its cost would have to
-//! be strictly less than itself). Forward has **two** points per
-//! flip-flop — `Xor`/`Mux` legs mix polarities, so deriving `CC1(q)` may
-//! route through `CC0(q)` of the same flip-flop — giving `2·#FFs + 1`
-//! working passes; backward has one point per flip-flop (`CO` only),
-//! giving `#FFs + 1`. One extra pass detects the fixpoint —
-//! [`Scoap::analyze`] asserts both bounds.
+//! `CO(d) = CO(q) + 1`. Values start at [`SAT`]; [`cc_of`] and
+//! [`co_of`] are the monotone per-gate transfer functions. The
+//! fixpoints run as dirty-set rounds (the crate's `worklist`): round 1
+//! evaluates every gate in topo order (reversed for `CO`); each later
+//! round re-evaluates, in the same order, only the gates whose inputs
+//! changed. A changed input at a later position is picked up in the
+//! current round; one at the same or an earlier position — only a
+//! flip-flop edge can point backward — waits for the next. The state
+//! after round *k* therefore equals the state after the *k*-th
+//! whole-netlist round-robin sweep, so [`Scoap::passes`] counts the
+//! rounds plus one confirmation round, exactly as the sweeps counted
+//! passes, and the work is the number of changes rather than
+//! `passes × gates` (`tests/dfa.rs` checks both against the sweeps).
 //!
-//! All arithmetic saturates at [`SAT`]; the pass order is the view's
+//! The pass bound comes from counting distinct lattice points on one
+//! root-to-leaf path of the optimal derivation: every flip-flop
+//! crossing adds +1, so the same *point* can never repeat on a path
+//! (its cost would have to be strictly less than itself). Forward has
+//! **two** points per flip-flop — `Xor`/`Mux` legs mix polarities, so
+//! deriving `CC1(q)` may route through `CC0(q)` of the same flip-flop —
+//! giving `2·#FFs + 1` working rounds; backward has one point per
+//! flip-flop (`CO` only), giving `#FFs + 1`. One extra round detects
+//! the fixpoint — [`Scoap::analyze`] asserts both bounds.
+//!
+//! All arithmetic saturates at [`SAT`]; the visit order is the view's
 //! deterministic topo order, so results are a pure function of the
 //! snapshot — byte-identical across thread counts by construction.
 
+use crate::worklist::Worklist;
 use tpi_netlist::GateKind;
 use tpi_sim::NetView;
 
@@ -53,8 +66,13 @@ pub struct Scoap {
     pub cc1: Vec<u32>,
     /// Observability per gate (net) index.
     pub co: Vec<u32>,
-    /// `(forward, backward)` passes until the fixpoint stabilized.
+    /// `(forward, backward)` rounds until the fixpoint stabilized, the
+    /// confirmation round included: the number of whole-netlist sweeps a
+    /// round-robin fixpoint takes.
     pub passes: (u32, u32),
+    /// Gate evaluations over both fixpoints: the work counter whose
+    /// per-gate ratio stays flat as designs grow.
+    pub evaluations: u64,
 }
 
 impl Scoap {
@@ -66,15 +84,55 @@ impl Scoap {
     /// indicate a non-monotone transfer function (a bug).
     pub fn analyze(view: &NetView) -> Scoap {
         let n = view.gate_count();
+        let topo = view.topo();
         let ffs = (0..n).filter(|&g| view.kind(g) == GateKind::Dff).count() as u32;
+        // Forward: positions are topo positions; a gate's readers are
+        // its fanouts.
         let mut cc0 = vec![SAT; n];
         let mut cc1 = vec![SAT; n];
-        let fwd =
-            crate::fixpoint("SCOAP forward", 2 * ffs + 2, || forward(view, &mut cc0, &mut cc1));
+        let mut work = Worklist::dense(n);
+        let fwd = crate::fixpoint("SCOAP forward", 2 * ffs + 2, || {
+            let mut changed = false;
+            while let Some(pos) = work.pop() {
+                let g = topo[pos] as usize;
+                let (n0, n1) = cc_of(view, g, &cc0, &cc1);
+                // Monotone non-increasing from SAT; clamping keeps that
+                // invariant explicit.
+                let (n0, n1) = (n0.min(cc0[g]), n1.min(cc1[g]));
+                if (n0, n1) != (cc0[g], cc1[g]) {
+                    cc0[g] = n0;
+                    cc1[g] = n1;
+                    changed = true;
+                    for &s in view.fanouts(g) {
+                        work.push_dependent(pos, view.topo_pos(s as usize) as usize);
+                    }
+                }
+            }
+            work.advance();
+            changed
+        });
+        // Backward: positions run the topo order in reverse; a gate's
+        // readers are its fanins.
+        let rev = |g: u32| n - 1 - view.topo_pos(g as usize) as usize;
         let mut co = vec![SAT; n];
-        let bwd =
-            crate::fixpoint("SCOAP backward", ffs + 2, || backward(view, &cc0, &cc1, &mut co));
-        Scoap { cc0, cc1, co, passes: (fwd, bwd) }
+        let mut back = Worklist::dense(n);
+        let bwd = crate::fixpoint("SCOAP backward", ffs + 2, || {
+            let mut changed = false;
+            while let Some(pos) = back.pop() {
+                let g = topo[n - 1 - pos] as usize;
+                let best = co_of(view, g, &cc0, &cc1, &co).min(co[g]);
+                if best != co[g] {
+                    co[g] = best;
+                    changed = true;
+                    for &f in view.fanin(g) {
+                        back.push_dependent(pos, rev(f));
+                    }
+                }
+            }
+            back.advance();
+            changed
+        });
+        Scoap { cc0, cc1, co, passes: (fwd, bwd), evaluations: work.visits + back.visits }
     }
 
     /// Combined testability burden of net `g`: `cc0 + cc1 + co`,
@@ -86,48 +144,35 @@ impl Scoap {
     }
 }
 
-/// One monotone forward (controllability) pass in topo order. Returns
-/// whether anything changed.
-fn forward(view: &NetView, cc0: &mut [u32], cc1: &mut [u32]) -> bool {
-    let mut changed = false;
-    for &gi in view.topo() {
-        let g = gi as usize;
-        let fanin = view.fanin(g);
-        let (n0, n1) = match view.kind(g) {
-            GateKind::Input => (1, 1),
-            GateKind::Const0 => (1, SAT),
-            GateKind::Const1 => (SAT, 1),
-            GateKind::Buf | GateKind::Output => match fanin.first() {
-                Some(&f) => (cc0[f as usize], cc1[f as usize]),
-                None => (SAT, SAT),
-            },
-            GateKind::Dff => match fanin.first() {
-                Some(&f) => (add(cc0[f as usize], 1), add(cc1[f as usize], 1)),
-                None => (SAT, SAT),
-            },
-            GateKind::Inv => match fanin.first() {
-                Some(&f) => (add(cc1[f as usize], 1), add(cc0[f as usize], 1)),
-                None => (SAT, SAT),
-            },
-            GateKind::And => and_cc(fanin, cc0, cc1),
-            GateKind::Nand => swap(and_cc(fanin, cc0, cc1)),
-            GateKind::Or => swap(and_cc_dual(fanin, cc0, cc1)),
-            GateKind::Nor => and_cc_dual(fanin, cc0, cc1),
-            GateKind::Xor => xor_cc(fanin, cc0, cc1),
-            GateKind::Xnor => swap(xor_cc(fanin, cc0, cc1)),
-            GateKind::Mux => mux_cc(fanin, cc0, cc1),
-        };
-        // The fixpoint is monotone non-increasing from SAT; clamping
-        // keeps that invariant explicit.
-        let n0 = n0.min(cc0[g]);
-        let n1 = n1.min(cc1[g]);
-        if n0 != cc0[g] || n1 != cc1[g] {
-            cc0[g] = n0;
-            cc1[g] = n1;
-            changed = true;
-        }
+/// Forward transfer function: `(CC0, CC1)` of gate `g` from its fanins'
+/// current values. The fixpoints take the minimum of this and the
+/// gate's current value.
+pub fn cc_of(view: &NetView, g: usize, cc0: &[u32], cc1: &[u32]) -> (u32, u32) {
+    let fanin = view.fanin(g);
+    match view.kind(g) {
+        GateKind::Input => (1, 1),
+        GateKind::Const0 => (1, SAT),
+        GateKind::Const1 => (SAT, 1),
+        GateKind::Buf | GateKind::Output => match fanin.first() {
+            Some(&f) => (cc0[f as usize], cc1[f as usize]),
+            None => (SAT, SAT),
+        },
+        GateKind::Dff => match fanin.first() {
+            Some(&f) => (add(cc0[f as usize], 1), add(cc1[f as usize], 1)),
+            None => (SAT, SAT),
+        },
+        GateKind::Inv => match fanin.first() {
+            Some(&f) => (add(cc1[f as usize], 1), add(cc0[f as usize], 1)),
+            None => (SAT, SAT),
+        },
+        GateKind::And => and_cc(fanin, cc0, cc1),
+        GateKind::Nand => swap(and_cc(fanin, cc0, cc1)),
+        GateKind::Or => swap(and_cc_dual(fanin, cc0, cc1)),
+        GateKind::Nor => and_cc_dual(fanin, cc0, cc1),
+        GateKind::Xor => xor_cc(fanin, cc0, cc1),
+        GateKind::Xnor => swap(xor_cc(fanin, cc0, cc1)),
+        GateKind::Mux => mux_cc(fanin, cc0, cc1),
     }
-    changed
 }
 
 #[inline]
@@ -169,23 +214,14 @@ fn mux_cc(fanin: &[u32], cc0: &[u32], cc1: &[u32]) -> (u32, u32) {
     (add(to0, 1), add(to1, 1))
 }
 
-/// One monotone backward (observability) pass in reverse topo order.
-/// Returns whether anything changed.
-fn backward(view: &NetView, cc0: &[u32], cc1: &[u32], co: &mut [u32]) -> bool {
-    let mut changed = false;
-    for &gi in view.topo().iter().rev() {
-        let g = gi as usize;
-        let mut best = if view.kind(g) == GateKind::Output { 0 } else { SAT };
-        for &s in view.fanouts(g) {
-            best = best.min(sink_cost(view, g as u32, s as usize, cc0, cc1, co));
-        }
-        let best = best.min(co[g]);
-        if best != co[g] {
-            co[g] = best;
-            changed = true;
-        }
-    }
-    changed
+/// Backward transfer function: `CO` of gate `g` from its sinks' current
+/// values (0 for an output port). The fixpoints take the minimum of
+/// this and the gate's current value.
+pub fn co_of(view: &NetView, g: usize, cc0: &[u32], cc1: &[u32], co: &[u32]) -> u32 {
+    let own = if view.kind(g) == GateKind::Output { 0 } else { SAT };
+    view.fanouts(g)
+        .iter()
+        .fold(own, |best, &s| best.min(sink_cost(view, g as u32, s as usize, cc0, cc1, co)))
 }
 
 /// Cost of observing net `g` through sink gate `s`: `CO(s)` plus the

@@ -4,7 +4,11 @@
 //!
 //! * **Oracles** — the one-pass CHK dominator tree is checked against a
 //!   naive `O(V·E)`-per-node remove-and-recheck reachability oracle on
-//!   every smoke-suite circuit.
+//!   every smoke-suite circuit. SCOAP's dirty-set rounds are checked
+//!   against whole-netlist round-robin sweeps (values *and* pass
+//!   counts), and X-reach's cone walks against a per-flip-flop DFS, on
+//!   the smoke and paper suites, `gen50k`, random circuits and (release
+//!   only) an industrial size ladder that also pins flat work per gate.
 //! * **Structural invariance (properties)** — SCOAP numbers and the
 //!   dominator tree are functions of the circuit *structure*: permuting
 //!   gate creation order must not move a single number, and threading a
@@ -15,11 +19,12 @@
 
 use proptest::prelude::*;
 use rand::prelude::*;
-use scanpath::dfa::{DomTree, Scoap};
+use scanpath::dfa::{cc_of, co_of, DomTree, Scoap, XReach, SAT};
 use scanpath::netlist::{GateId, GateKind, Netlist};
 use scanpath::sim::NetView;
 use scanpath::tpi::{FlowOptions, FullScanFlow, GainModel, TpGreed, TpGreedConfig};
-use scanpath::workloads::{generate, smoke_suite, CircuitSpec, StructureClass};
+use scanpath::workloads::industrial::{generate_industrial, IndustrialSpec};
+use scanpath::workloads::{generate, large_suite, smoke_suite, suite, CircuitSpec, StructureClass};
 use std::collections::{HashMap, HashSet};
 
 // ---------------------------------------------------------------------
@@ -108,6 +113,129 @@ fn dominator_tree_matches_the_naive_reachability_oracle() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// SCOAP and X-reach oracles
+// ---------------------------------------------------------------------
+
+/// SCOAP by whole-netlist round-robin sweeps: every gate in topo order
+/// (reversed for observability), repeated until a sweep changes
+/// nothing. Returns `(cc0, cc1, co, passes)` with the passes counted
+/// the way [`Scoap::passes`] reports them, confirmation sweep included.
+fn scoap_reference(view: &NetView) -> (Vec<u32>, Vec<u32>, Vec<u32>, (u32, u32)) {
+    let n = view.gate_count();
+    let (mut cc0, mut cc1) = (vec![SAT; n], vec![SAT; n]);
+    let mut fwd = 0;
+    loop {
+        fwd += 1;
+        let mut changed = false;
+        for &g in view.topo() {
+            let g = g as usize;
+            let (n0, n1) = cc_of(view, g, &cc0, &cc1);
+            let (n0, n1) = (n0.min(cc0[g]), n1.min(cc1[g]));
+            changed |= (n0, n1) != (cc0[g], cc1[g]);
+            (cc0[g], cc1[g]) = (n0, n1);
+        }
+        if !changed {
+            break;
+        }
+    }
+    let mut co = vec![SAT; n];
+    let mut bwd = 0;
+    loop {
+        bwd += 1;
+        let mut changed = false;
+        for &g in view.topo().iter().rev() {
+            let g = g as usize;
+            let best = co_of(view, g, &cc0, &cc1, &co).min(co[g]);
+            changed |= best != co[g];
+            co[g] = best;
+        }
+        if !changed {
+            break;
+        }
+    }
+    (cc0, cc1, co, (fwd, bwd))
+}
+
+/// X reach by one DFS per flip-flop over its fanouts, stopping at
+/// flip-flop sinks: the number of distinct flip-flops reaching each net.
+fn xreach_reference(view: &NetView) -> Vec<u32> {
+    let n = view.gate_count();
+    let mut counts = vec![0u32; n];
+    let mut seen = vec![usize::MAX; n];
+    for ff in (0..n).filter(|&g| view.kind(g) == GateKind::Dff) {
+        seen[ff] = ff;
+        let mut stack = vec![ff];
+        while let Some(g) = stack.pop() {
+            counts[g] += 1;
+            for &s in view.fanouts(g) {
+                let s = s as usize;
+                if view.kind(s) != GateKind::Dff && seen[s] != ff {
+                    seen[s] = ff;
+                    stack.push(s);
+                }
+            }
+        }
+    }
+    counts
+}
+
+/// Asserts both analyses equal their oracles on `n`; returns SCOAP
+/// evaluations and X-reach visits per gate.
+fn assert_matches_oracles(n: &Netlist) -> (f64, f64) {
+    let view = NetView::new(n);
+    let s = Scoap::analyze(&view);
+    let (cc0, cc1, co, passes) = scoap_reference(&view);
+    assert_eq!(s.cc0, cc0, "{}: cc0", n.name());
+    assert_eq!(s.cc1, cc1, "{}: cc1", n.name());
+    assert_eq!(s.co, co, "{}: co", n.name());
+    assert_eq!(s.passes, passes, "{}: passes", n.name());
+    let x = XReach::analyze(&view);
+    assert_eq!(x.source_counts, xreach_reference(&view), "{}: X reach", n.name());
+    let gates = view.gate_count() as f64;
+    (s.evaluations as f64 / gates, x.visits as f64 / gates)
+}
+
+#[test]
+fn scoap_and_xreach_match_their_oracles_on_the_suites() {
+    for spec in smoke_suite().into_iter().chain(suite()).chain(large_suite()) {
+        assert_matches_oracles(&generate(&spec));
+    }
+    // Small cones: X reach walks them instead of sweeping the design.
+    assert_matches_oracles(&industrial(8));
+}
+
+/// The industrial design of `stages` register ranks, pinned like the
+/// benchmark's (128-bit datapath, ~806 gates per rank).
+fn industrial(stages: usize) -> Netlist {
+    generate_industrial(&IndustrialSpec {
+        name: format!("ind{stages}"),
+        target_gates: 250_000 * stages / 310,
+        width: 128,
+        stages,
+        control_ffs: 16,
+        hold_per_mille: 300,
+        seed: 0xDAC97,
+    })
+}
+
+/// Release only (~31k to ~125k gates; the oracle repeats 157 sweeps on
+/// the largest). Beyond oracle equality, the work per gate must not grow
+/// with the design: the old whole-netlist sweeps did one pass per
+/// flip-flop rank and one per 64-flip-flop chunk.
+#[test]
+#[ignore = "release only: run by ci.sh with --release --include-ignored"]
+fn industrial_ladder_matches_the_oracles_with_flat_work_per_gate() {
+    let work: Vec<(f64, f64)> =
+        [39, 78, 155].map(|stages| assert_matches_oracles(&industrial(stages))).into();
+    let spread = |f: fn(&(f64, f64)) -> f64| {
+        let v: Vec<f64> = work.iter().map(f).collect();
+        v.iter().copied().fold(0.0, f64::max) / v.iter().copied().fold(f64::MAX, f64::min)
+    };
+    assert!(spread(|w| w.0) <= 1.25, "SCOAP evaluations per gate grow: {work:?}");
+    assert!(spread(|w| w.1) <= 1.5, "X-reach visits per gate grow: {work:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -219,6 +347,12 @@ fn idoms_by_name(n: &Netlist) -> HashMap<String, Option<String>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// SCOAP rounds and X-reach cone walks equal their oracles.
+    #[test]
+    fn scoap_and_xreach_match_their_oracles(spec in spec_strategy()) {
+        assert_matches_oracles(&generate(&spec));
+    }
 
     /// SCOAP and the dominator tree are pure functions of the circuit
     /// structure, not of gate creation (and hence topo traversal) order.
