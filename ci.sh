@@ -24,6 +24,9 @@ echo "== tpi-dfa oracles, release, industrial ladder included =="
 # plus the flat-work-per-gate check that keeps the analyses linear.
 cargo test --release --offline --test dfa -- --include-ignored
 
+echo "== whole-suite thread invariance, release (TPGREED threads 1/2/4/0 on all 11 suite() circuits) =="
+cargo test --release --offline --test parallel_suite -- --include-ignored
+
 echo "== perfbench tests, ignored ones included (public API the benchmark drives) =="
 # perfbench is its own workspace: a public-API deletion that breaks the
 # benchmark, or a regression of the re-drawn s15850 TPGREED run, fails
@@ -117,24 +120,27 @@ cmp "$SMOKE/det1.txt" "$SMOKE/det0.txt"
 echo "== tpi-bench --gain-model scoap (byte-identical across threads 1/2/0, selections = reference) =="
 "$BENCH" --gain-model scoap
 
-echo "== tpi-bench sweep (emits BENCH_PR4.json) =="
-"$BENCH" --emit-bench BENCH_PR4.json
+echo "== tpi-bench sweep (emits BENCH_PR4.json into the scratch dir) =="
+# The committed BENCH_*.json files at the repo root are records of the
+# runs they describe; CI writes its own copies to the scratch dir so a
+# run leaves no timing-only diffs in the tree.
+"$BENCH" --emit-bench "$SMOKE/BENCH_PR4.json"
 
 echo "== lane-engine equivalence and production vs reference (release, includes the 10k-gate circuit) =="
 cargo test -q --release -p tpi-core --test lane_equiv -- --include-ignored
 
-echo "== tpi-bench --large: gen50k production vs reference gates (emits BENCH_PR6.json) =="
+echo "== tpi-bench --large: gen50k production vs reference gates (emits BENCH_PR6.json into the scratch dir) =="
 # Fails if deterministic sections differ across --threads 1/2/0, if the
 # selections (test points, scan-path endpoints, iterations) differ from
 # TPGREED's full-recompute scalar reference, or if tpgreed at --threads 0
 # is >15% slower than --threads 1 (the parallel-slowdown regression).
 # The reference run takes ~2 minutes on gen50k.
-"$BENCH" --large --emit-bench BENCH_PR6.json
+"$BENCH" --large --emit-bench "$SMOKE/BENCH_PR6.json"
 
-echo "== tpi-bench --net: sequential vs pipelined session loopback throughput (emits BENCH_PR9.json) =="
+echo "== tpi-bench --net: sequential vs pipelined session loopback throughput (emits BENCH_PR9.json into the scratch dir) =="
 # The 1k-connection thread-bound + Busy/backpressure test itself runs in
 # the tier-1 suite above (tests/net.rs); this produces the req/s numbers.
-"$BENCH" --net --emit-bench BENCH_PR9.json
+"$BENCH" --net --emit-bench "$SMOKE/BENCH_PR9.json"
 
 echo "== tpi-bench --gen-scale: industrial generator linearity gate =="
 # Fails if the 500k-gate design costs >4x the ns/gate of the 125k one
@@ -143,7 +149,7 @@ echo "== tpi-bench --gen-scale: industrial generator linearity gate =="
 
 echo "== tpi-soak --smoke: soak/fuzz gate (direct + 2-backend gateway) =="
 # ~25 seconds of mixed-lane traffic per cluster shape: cold submits,
-# warm repeats (byte-compared), pipelined batches, fuzzed frames,
+# warm repeats (byte-compared), pipelined submits, fuzzed frames,
 # 1 ms deadlines, mid-job disconnects. Fails on any panic, unverified
 # report, warm mismatch, dead server after a mutant, or RSS above cap.
 cargo build -q --release -p tpi-soak --bin tpi-soak

@@ -85,15 +85,9 @@ pub enum Verb {
     /// Response: the peer-fetch answer
     /// ([`crate::proto::CacheAnswer`] payload; a miss is a valid answer).
     CachePayload = 11,
-    /// Request: a streaming batch of jobs
-    /// ([`crate::proto::SubmitMany`] payload). The server answers with
-    /// one [`Verb::ReportOne`] frame per job, in *completion* order,
-    /// all carrying the batch frame's request ID.
-    SubmitMany = 12,
-    /// Response: one finished job out of a [`Verb::SubmitMany`]
-    /// batch ([`crate::proto::ReportOne`] payload, which names the
-    /// batch index the report belongs to).
-    ReportOne = 13,
+    // Bytes 12 and 13 carried the retired batch verbs (one frame of
+    // many jobs, one report frame per job). They decode as unknown
+    // verbs and must not be reused: an old peer would misread them.
 }
 
 impl Verb {
@@ -111,8 +105,6 @@ impl Verb {
             9 => Verb::Shutdown,
             10 => Verb::PeerFetch,
             11 => Verb::CachePayload,
-            12 => Verb::SubmitMany,
-            13 => Verb::ReportOne,
             _ => return None,
         })
     }
@@ -131,8 +123,6 @@ impl Verb {
             Verb::Shutdown => "shutdown",
             Verb::PeerFetch => "peer-fetch",
             Verb::CachePayload => "cache-payload",
-            Verb::SubmitMany => "submit-many",
-            Verb::ReportOne => "report-one",
         }
     }
 }
@@ -398,7 +388,7 @@ impl FrameAssembler {
 mod tests {
     use super::*;
 
-    const ALL_VERBS: [Verb; 13] = [
+    const ALL_VERBS: [Verb; 11] = [
         Verb::Submit,
         Verb::Report,
         Verb::Error,
@@ -410,8 +400,6 @@ mod tests {
         Verb::Shutdown,
         Verb::PeerFetch,
         Verb::CachePayload,
-        Verb::SubmitMany,
-        Verb::ReportOne,
     ];
 
     fn read(bytes: &[u8], max_frame: u32) -> Result<(Verb, u32, Vec<u8>), FrameError> {
@@ -496,7 +484,7 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&encode_frame_v2(Verb::Submit, 1, b"first"));
         wire.extend_from_slice(&encode_frame_v2(Verb::Ping, 2, b""));
-        wire.extend_from_slice(&encode_frame_v2(Verb::SubmitMany, 3, b"third payload"));
+        wire.extend_from_slice(&encode_frame_v2(Verb::PeerFetch, 3, b"third payload"));
         // Feed one byte at a time: the assembler must never yield a
         // frame early, and must yield all three in order.
         let mut asm = FrameAssembler::new();
@@ -511,7 +499,7 @@ mod tests {
         assert_eq!(got.len(), 3);
         assert_eq!(got[0], (Verb::Submit, 1, b"first".to_vec()));
         assert_eq!(got[1], (Verb::Ping, 2, Vec::new()));
-        assert_eq!(got[2], (Verb::SubmitMany, 3, b"third payload".to_vec()));
+        assert_eq!(got[2], (Verb::PeerFetch, 3, b"third payload".to_vec()));
     }
 
     /// Every split point of a v2 frame — including each header-internal
@@ -547,7 +535,7 @@ mod tests {
                 vec![
                     (Verb::Submit, c * 100 + 1, vec![c as u8; (c as usize) * 37 + 1]),
                     (Verb::Ping, c * 100 + 2, Vec::new()),
-                    (Verb::SubmitMany, c * 100 + 3, format!("conn-{c}-batch").into_bytes()),
+                    (Verb::PeerFetch, c * 100 + 3, format!("conn-{c}-lookup").into_bytes()),
                 ]
             })
             .collect();

@@ -43,10 +43,9 @@
 //!
 //! [`session::Connection`] is the client: open once, pipeline many
 //! [`session::Connection::submit`]s, collect completions with
-//! [`session::Connection::wait`] / [`session::Connection::wait_any`],
-//! or ship a whole batch with [`session::Connection::submit_many`]
-//! ([`frame::Verb::SubmitMany`]) and stream the per-item
-//! [`frame::Verb::ReportOne`] answers back in index order.
+//! [`session::Connection::wait`] / [`session::Connection::wait_any`]
+//! in completion order. Pipelined submits are the one way to have many
+//! jobs in flight: each carries its own request ID and its own `Busy`.
 //!
 //! # Byte identity
 //!
@@ -70,10 +69,9 @@ pub use frame::{
     Verb, DEFAULT_MAX_FRAME,
 };
 pub use proto::{
-    CacheAnswer, CacheLookup, ErrorCode, ErrorInfo, ProtoError, ReportOne, SubmitMany, WireReport,
-    WireRequest,
+    CacheAnswer, CacheLookup, ErrorCode, ErrorInfo, ProtoError, WireReport, WireRequest,
 };
 pub use server::{
     write_addr_file, FrameHandler, JobHandler, NetServer, ServerConfig, ServerHandle,
 };
-pub use session::{Connection, Pending, PendingBatch};
+pub use session::{Connection, Pending};

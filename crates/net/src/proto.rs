@@ -502,91 +502,6 @@ impl CacheAnswer {
 }
 
 // ---------------------------------------------------------------------
-// Streaming batch: SubmitMany / ReportOne
-// ---------------------------------------------------------------------
-
-/// The payload of a [`Verb::SubmitMany`](crate::frame::Verb::SubmitMany)
-/// request: a batch of jobs submitted in one frame. The
-/// server answers with one [`ReportOne`] frame per job — in
-/// *completion* order, not submission order — all carrying the batch
-/// frame's request ID; the embedded index is what maps a report back
-/// to its request.
-///
-/// Admission is all-or-nothing: a server that cannot take the whole
-/// batch under its in-flight cap answers a single `Busy` frame for the
-/// batch's request ID (partial admission would make "which jobs ran?"
-/// ambiguous under retry).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubmitMany {
-    /// The jobs, in batch-index order.
-    pub requests: Vec<WireRequest>,
-}
-
-impl SubmitMany {
-    /// Renders the SubmitMany payload: a count, then each request as a
-    /// length-prefixed [`WireRequest`] encoding.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(
-            &u32::try_from(self.requests.len()).expect("batch count fits u32").to_le_bytes(),
-        );
-        for req in &self.requests {
-            let bytes = req.encode();
-            out.extend_from_slice(
-                &u32::try_from(bytes.len()).expect("request fits u32").to_le_bytes(),
-            );
-            out.extend_from_slice(&bytes);
-        }
-        out
-    }
-
-    /// Parses a SubmitMany payload.
-    pub fn decode(bytes: &[u8]) -> Result<SubmitMany, ProtoError> {
-        let mut r = Reader::new(bytes);
-        let count = r.u32("batch count")? as usize;
-        let mut requests = Vec::new();
-        for _ in 0..count {
-            let len = r.u32("request length")? as usize;
-            let body = r.take(len, "batched request")?;
-            requests.push(WireRequest::decode(body)?);
-        }
-        r.finish()?;
-        Ok(SubmitMany { requests })
-    }
-}
-
-/// The payload of a [`Verb::ReportOne`](crate::frame::Verb::ReportOne)
-/// response: one finished job out of a [`SubmitMany`] batch,
-/// tagged with the batch index it answers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportOne {
-    /// Index into the batch's [`SubmitMany::requests`].
-    pub index: u32,
-    /// The job's report, exactly as a standalone Submit would carry it.
-    pub report: WireReport,
-}
-
-impl ReportOne {
-    /// Renders the ReportOne payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let report = self.report.encode();
-        let mut out = Vec::with_capacity(4 + report.len());
-        out.extend_from_slice(&self.index.to_le_bytes());
-        out.extend_from_slice(&report);
-        out
-    }
-
-    /// Parses a ReportOne payload.
-    pub fn decode(bytes: &[u8]) -> Result<ReportOne, ProtoError> {
-        let mut r = Reader::new(bytes);
-        let index = r.u32("batch index")?;
-        let rest = r.take(bytes.len() - 4, "batched report")?;
-        r.finish()?;
-        Ok(ReportOne { index, report: WireReport::decode(rest)? })
-    }
-}
-
-// ---------------------------------------------------------------------
 // Error response
 // ---------------------------------------------------------------------
 
@@ -805,74 +720,6 @@ mod tests {
             diagnostics: Vec::new(),
         };
         assert_eq!(WireReport::decode(&rep.encode()).unwrap(), rep);
-    }
-
-    #[test]
-    fn submit_many_roundtrips_and_preserves_batch_order() {
-        let batch = SubmitMany {
-            requests: vec![
-                WireRequest::full_scan(".model a\n.end\n"),
-                WireRequest::partial(".model b\n.end\n", PartialScanMethod::TpTime),
-                WireRequest::full_scan(".model c\n.end\n"),
-            ],
-        };
-        let back = SubmitMany::decode(&batch.encode()).unwrap();
-        assert_eq!(back.requests.len(), 3);
-        assert_eq!(back.requests[0].blif, ".model a\n.end\n");
-        assert_eq!(back.requests[1].blif, ".model b\n.end\n");
-        assert_eq!(back.requests[2].blif, ".model c\n.end\n");
-    }
-
-    #[test]
-    fn empty_submit_many_roundtrips() {
-        let batch = SubmitMany { requests: Vec::new() };
-        assert_eq!(SubmitMany::decode(&batch.encode()).unwrap(), batch);
-    }
-
-    #[test]
-    fn report_one_roundtrips() {
-        let one = ReportOne {
-            index: 7,
-            report: WireReport {
-                id: 9,
-                flow: "full-scan".into(),
-                status: JobStatus::Completed,
-                key: Some(1),
-                verified: true,
-                cache: CacheSource::Disk,
-                wall_micros: 55,
-                payload: None,
-                diagnostics: vec!["note".into()],
-            },
-        };
-        assert_eq!(ReportOne::decode(&one.encode()).unwrap(), one);
-    }
-
-    #[test]
-    fn truncated_batch_payloads_decode_to_typed_errors() {
-        let batch = SubmitMany { requests: vec![WireRequest::full_scan(".model m\n.end\n")] };
-        let good = batch.encode();
-        for cut in 0..good.len() {
-            assert!(SubmitMany::decode(&good[..cut]).is_err(), "prefix {cut} decoded");
-        }
-        let one = ReportOne {
-            index: 0,
-            report: WireReport {
-                id: 1,
-                flow: "tptime".into(),
-                status: JobStatus::TimedOut,
-                key: None,
-                verified: false,
-                cache: CacheSource::Cold,
-                wall_micros: 0,
-                payload: None,
-                diagnostics: Vec::new(),
-            },
-        };
-        let good = one.encode();
-        for cut in 0..good.len() {
-            assert!(ReportOne::decode(&good[..cut]).is_err(), "prefix {cut} decoded");
-        }
     }
 
     #[test]

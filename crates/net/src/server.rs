@@ -41,9 +41,7 @@
 
 use crate::client::ClientConfig;
 use crate::frame::{encode_frame_v2, FrameAssembler, FrameError, Verb, DEFAULT_MAX_FRAME};
-use crate::proto::{
-    CacheAnswer, CacheLookup, ErrorCode, ErrorInfo, SubmitMany, WireReport, WireRequest,
-};
+use crate::proto::{CacheAnswer, CacheLookup, ErrorCode, ErrorInfo, WireReport, WireRequest};
 use crate::session::Connection;
 use std::collections::VecDeque;
 use std::fs::{self, File};
@@ -68,9 +66,7 @@ pub struct ServerConfig {
     /// Largest accepted frame payload, in bytes.
     pub max_frame: u32,
     /// Server-wide cap on requests dispatched but not yet answered.
-    /// A Submit past the cap gets a per-request [`Verb::Busy`]; a
-    /// SubmitMany that does not fit *whole* is refused whole (partial
-    /// admission would make "which jobs ran?" ambiguous under retry).
+    /// A Submit past the cap gets a per-request [`Verb::Busy`].
     pub max_inflight: usize,
 }
 
@@ -826,40 +822,17 @@ impl<H: FrameHandler> PollLoop<H> {
                 }
                 match WireRequest::decode(&payload) {
                     Ok(req) => {
-                        let done = self.completion_sender(token, req_id, t0, None);
+                        let done = self.completion_sender(token, req_id, t0);
                         self.note_dispatch(token);
                         self.handler.submit(req, done);
                     }
                     Err(e) => self.bad_request(token, req_id, &e.to_string()),
                 }
             }
-            Verb::SubmitMany => {
-                if shutting {
-                    self.enqueue(token, Verb::Error, req_id, &shutting_down_payload());
-                    return;
-                }
-                let batch = match SubmitMany::decode(&payload) {
-                    Ok(batch) => batch,
-                    Err(e) => return self.bad_request(token, req_id, &e.to_string()),
-                };
-                // All-or-nothing admission, so a Busy answer means
-                // "nothing from this frame ran" — retry the frame.
-                if self.inflight_total + batch.requests.len() > self.config.max_inflight {
-                    self.state.obs.add_nd("requests_busy", 1);
-                    self.enqueue(token, Verb::Busy, req_id, &[]);
-                    return;
-                }
-                for (index, req) in batch.requests.into_iter().enumerate() {
-                    let done = self.completion_sender(token, req_id, t0, Some(index as u32));
-                    self.note_dispatch(token);
-                    self.handler.submit(req, done);
-                }
-            }
             // A response verb has no meaning as a request. The frame
             // layer stayed in sync, so this answers and keeps the
             // connection.
             Verb::Report
-            | Verb::ReportOne
             | Verb::Error
             | Verb::Busy
             | Verb::MetricsReport
@@ -875,37 +848,19 @@ impl<H: FrameHandler> PollLoop<H> {
         }
     }
 
-    /// Builds the `done` callback for one dispatched request. For a
-    /// batch member (`index` set), the handler's Report payload is
-    /// re-enveloped as a [`Verb::ReportOne`] — an index prefix spliced
-    /// onto the report bytes — and a handler *error* is folded into a
-    /// failed report, so every batch member answers exactly once with
-    /// the batch's request ID.
+    /// Builds the `done` callback for one dispatched request: it posts
+    /// the handler's answer to the completion channel under the
+    /// request's ID and wakes the poll loop.
     fn completion_sender(
         &self,
         token: usize,
         req_id: u32,
         t0: Instant,
-        index: Option<u32>,
     ) -> Box<dyn FnOnce(Verb, Vec<u8>) + Send> {
         let gen = self.gens[token];
         let tx = self.completions_tx.clone();
         let waker = Arc::clone(&self.waker);
         Box::new(move |verb, payload| {
-            let (verb, payload) = match index {
-                None => (verb, payload),
-                Some(index) => {
-                    let report = if verb == Verb::Report {
-                        payload
-                    } else {
-                        synthesized_failure(&payload).encode()
-                    };
-                    let mut enveloped = Vec::with_capacity(4 + report.len());
-                    enveloped.extend_from_slice(&index.to_le_bytes());
-                    enveloped.extend_from_slice(&report);
-                    (Verb::ReportOne, enveloped)
-                }
-            };
             let _ = tx.send(Completion { token, gen, verb, req_id, payload, t0 });
             waker.wake();
         })
@@ -984,27 +939,6 @@ impl<H: FrameHandler> PollLoop<H> {
             self.free.push(token);
             self.state.conns.fetch_sub(1, Ordering::SeqCst);
         }
-    }
-}
-
-/// Folds a handler error payload into a failed [`WireReport`], so a
-/// batch member that errored still answers as a ReportOne (the batch
-/// protocol promises exactly one report per index).
-fn synthesized_failure(error_payload: &[u8]) -> WireReport {
-    let message = match ErrorInfo::decode(error_payload) {
-        Ok(info) => info.message,
-        Err(_) => "request failed".into(),
-    };
-    WireReport {
-        id: 0,
-        flow: "error".into(),
-        status: tpi_serve::JobStatus::Failed(message),
-        key: None,
-        verified: false,
-        cache: tpi_serve::CacheSource::Cold,
-        wall_micros: 0,
-        payload: None,
-        diagnostics: Vec::new(),
     }
 }
 

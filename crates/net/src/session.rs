@@ -19,9 +19,7 @@
 
 use crate::client::{resolve, retriable_connect, ClientConfig, ClientError};
 use crate::frame::{encode_frame_v2, read_frame_v2, FrameError, Verb};
-use crate::proto::{
-    CacheAnswer, CacheLookup, ErrorInfo, ProtoError, ReportOne, SubmitMany, WireReport,
-};
+use crate::proto::{CacheAnswer, CacheLookup, ErrorInfo, ProtoError, WireReport};
 use crate::WireRequest;
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -49,50 +47,16 @@ impl Pending {
     }
 }
 
-/// A ticket for one in-flight [`Connection::submit_many`] batch.
-#[derive(Debug)]
-pub struct PendingBatch {
-    id: u32,
-    count: usize,
-}
-
-impl PendingBatch {
-    /// The batch frame's request ID.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// How many reports the batch will produce.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the batch was empty (zero requests, zero reports).
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-}
-
 /// What one request ID is waiting for. The encoded request frame stays
 /// in the slot so a [`Verb::Busy`] answer can be re-sent
 /// byte-identically under the same ID (`busy` flags that one arrived;
 /// the *waiter* performs the backoff and the re-send — the reader
 /// thread never sleeps).
 enum Slot {
-    /// Single-response request, response not yet arrived.
+    /// Response not yet arrived.
     Waiting { frame: Vec<u8>, attempts: u32, busy: bool },
-    /// Single-frame response arrived (Report, Pong, Error, ...).
+    /// Response arrived (Report, Pong, Error, ...).
     Done { verb: Verb, payload: Vec<u8> },
-    /// A batch gathering its per-index reports.
-    Gathering {
-        frame: Vec<u8>,
-        attempts: u32,
-        busy: bool,
-        reports: Vec<Option<WireReport>>,
-        remaining: usize,
-    },
-    /// A batch whose reports all arrived, in index order.
-    BatchDone { reports: Vec<WireReport> },
 }
 
 /// Shared connection state behind the reader thread and every caller.
@@ -248,26 +212,8 @@ impl Connection {
     /// Submits a job without waiting: the returned ticket redeems the
     /// report via [`Connection::wait`].
     pub fn submit(&self, request: &WireRequest) -> Result<Pending, ClientError> {
-        let id = self.start(Verb::Submit, &request.encode(), None)?;
+        let id = self.start(Verb::Submit, &request.encode())?;
         Ok(Pending { id })
-    }
-
-    /// Submits a whole batch in one frame ([`Verb::SubmitMany`]); the
-    /// server streams one report per job back as it finishes. Admission
-    /// is all-or-nothing: a `Busy` answer (retried under the budget
-    /// like any other) means nothing from the batch ran.
-    pub fn submit_many(&self, requests: &[WireRequest]) -> Result<PendingBatch, ClientError> {
-        if requests.is_empty() {
-            // Zero jobs produce zero frames in either direction; the
-            // batch self-completes without touching the wire.
-            let id = self.next_id();
-            let mut st = self.inner.state.lock().expect("session lock never poisoned");
-            st.slots.insert(id, Slot::BatchDone { reports: Vec::new() });
-            return Ok(PendingBatch { id, count: 0 });
-        }
-        let payload = SubmitMany { requests: requests.to_vec() }.encode();
-        let id = self.start(Verb::SubmitMany, &payload, Some(requests.len()))?;
-        Ok(PendingBatch { id, count: requests.len() })
     }
 
     /// Blocks until a submitted job's report arrives. Busy answers are
@@ -352,56 +298,6 @@ impl Connection {
         }
     }
 
-    /// Blocks until every report of a batch arrived, returned in batch
-    /// index order (completion order is not observable here; use
-    /// individual [`Connection::submit`] calls plus
-    /// [`Connection::wait_any`] when it matters).
-    pub fn wait_batch(&self, batch: PendingBatch) -> Result<Vec<WireReport>, ClientError> {
-        let give_up = Instant::now() + self.inner.config.io_timeout;
-        let retry_until = Instant::now() + self.inner.config.retry_budget;
-        loop {
-            let mut st = self.inner.state.lock().expect("session lock never poisoned");
-            match st.slots.get(&batch.id) {
-                Some(Slot::BatchDone { .. }) => {
-                    let Some(Slot::BatchDone { reports }) = st.slots.remove(&batch.id) else {
-                        unreachable!("the probe just saw BatchDone");
-                    };
-                    return Ok(reports);
-                }
-                Some(Slot::Gathering { busy: true, .. }) => {
-                    drop(st);
-                    self.resend_after_busy(batch.id, retry_until)?;
-                    continue;
-                }
-                // A whole-batch error answer replaces the slot.
-                Some(Slot::Done { .. }) => {
-                    let Some(Slot::Done { verb, payload }) = st.slots.remove(&batch.id) else {
-                        unreachable!("the probe just saw Done");
-                    };
-                    return Err(classify(verb, &payload));
-                }
-                _ => {}
-            }
-            if let Some(reason) = st.dead.clone() {
-                return Err(ClientError::ConnectionLost(reason));
-            }
-            let now = Instant::now();
-            if now >= give_up {
-                st.slots.remove(&batch.id);
-                return Err(ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "batch incomplete within io_timeout",
-                )));
-            }
-            let (guard, _t) = self
-                .inner
-                .completed
-                .wait_timeout(st, give_up - now)
-                .expect("session lock never poisoned");
-            drop(guard);
-        }
-    }
-
     /// Liveness probe over this session.
     pub fn ping(&self) -> Result<(), ClientError> {
         let (verb, payload) = self.call(Verb::Ping, &[])?;
@@ -448,12 +344,12 @@ impl Connection {
 
     /// One full request/response exchange on this session.
     fn call(&self, verb: Verb, payload: &[u8]) -> Result<(Verb, Vec<u8>), ClientError> {
-        let id = self.start(verb, payload, None)?;
+        let id = self.start(verb, payload)?;
         self.redeem(id)
     }
 
     /// Registers a slot and writes the request frame.
-    fn start(&self, verb: Verb, payload: &[u8], batch: Option<usize>) -> Result<u32, ClientError> {
+    fn start(&self, verb: Verb, payload: &[u8]) -> Result<u32, ClientError> {
         if let Some(reason) = self.inner.dead_reason() {
             return Err(ClientError::ConnectionLost(reason));
         }
@@ -461,17 +357,7 @@ impl Connection {
         let frame = encode_frame_v2(verb, id, payload);
         {
             let mut st = self.inner.state.lock().expect("session lock never poisoned");
-            let slot = match batch {
-                None => Slot::Waiting { frame: frame.clone(), attempts: 0, busy: false },
-                Some(count) => Slot::Gathering {
-                    frame: frame.clone(),
-                    attempts: 0,
-                    busy: false,
-                    reports: std::iter::repeat_with(|| None).take(count).collect(),
-                    remaining: count,
-                },
-            };
-            st.slots.insert(id, slot);
+            st.slots.insert(id, Slot::Waiting { frame: frame.clone(), attempts: 0, busy: false });
         }
         if let Err(e) = self.inner.send_frame(&frame) {
             let mut st = self.inner.state.lock().expect("session lock never poisoned");
@@ -545,10 +431,7 @@ impl Connection {
         let (frame, attempts) = {
             let mut st = self.inner.state.lock().expect("session lock never poisoned");
             match st.slots.get_mut(&id) {
-                Some(
-                    Slot::Waiting { frame, attempts, busy }
-                    | Slot::Gathering { frame, attempts, busy, .. },
-                ) => {
+                Some(Slot::Waiting { frame, attempts, busy }) => {
                     *attempts += 1;
                     *busy = false;
                     (frame.clone(), *attempts)
@@ -603,41 +486,14 @@ fn reader_loop(stream: TcpStream, inner: &Inner, max_frame: u32) {
             return;
         }
         let mut st = inner.state.lock().expect("session lock never poisoned");
-        match st.slots.get_mut(&req_id) {
-            Some(Slot::Waiting { busy, .. }) => {
-                if verb == Verb::Busy {
-                    *busy = true;
-                } else {
-                    st.slots.insert(req_id, Slot::Done { verb, payload });
-                }
+        // No waiting slot: a ticket abandoned by a timed-out wait, or a
+        // dropped Pending. The job ran; the bytes are discarded.
+        if let Some(Slot::Waiting { busy, .. }) = st.slots.get_mut(&req_id) {
+            if verb == Verb::Busy {
+                *busy = true;
+            } else {
+                st.slots.insert(req_id, Slot::Done { verb, payload });
             }
-            Some(Slot::Gathering { busy, reports, remaining, .. }) => match verb {
-                Verb::Busy => *busy = true,
-                Verb::ReportOne => {
-                    if let Ok(one) = ReportOne::decode(&payload) {
-                        let idx = one.index as usize;
-                        if idx < reports.len() && reports[idx].is_none() {
-                            reports[idx] = Some(one.report);
-                            *remaining -= 1;
-                        }
-                    }
-                    if matches!(st.slots.get(&req_id), Some(Slot::Gathering { remaining: 0, .. })) {
-                        let Some(Slot::Gathering { reports, .. }) = st.slots.remove(&req_id) else {
-                            unreachable!("the probe just saw Gathering");
-                        };
-                        let reports =
-                            reports.into_iter().map(|r| r.expect("remaining == 0")).collect();
-                        st.slots.insert(req_id, Slot::BatchDone { reports });
-                    }
-                }
-                // A whole-batch error answer replaces the slot.
-                _ => {
-                    st.slots.insert(req_id, Slot::Done { verb, payload });
-                }
-            },
-            // Unknown ID: a ticket abandoned by a timed-out wait, or a
-            // dropped Pending. The job ran; the bytes are discarded.
-            _ => {}
         }
         drop(st);
         inner.completed.notify_all();

@@ -9,7 +9,8 @@
 //!   guaranteed cache miss;
 //! * **warm** — repeats from a fixed design pool, asserting every warm
 //!   payload is byte-identical to the first cold result;
-//! * **pipeline** — v2 `SubmitMany` streaming batches;
+//! * **pipeline** — 2–4 warm-pool jobs pipelined on one session
+//!   (every `Submit` sent before the first report is awaited);
 //! * **fuzz** — seeded frame mutants from [`fuzz::mutate`] (truncation,
 //!   bit flips, splices, length/ID lies) with coverage tracked as
 //!   distinct `(mutation, outcome)` classes, and a liveness probe after
@@ -41,8 +42,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tpi_gateway::{Gateway, GatewayConfig, GatewayHandler};
 use tpi_net::{
-    encode_frame_v2, ClientConfig, ClientError, Connection, NetServer, ServerConfig, ServerHandle,
-    SubmitMany, Verb, WireReport, WireRequest,
+    encode_frame_v2, CacheLookup, ClientConfig, ClientError, Connection, NetServer, ServerConfig,
+    ServerHandle, Verb, WireReport, WireRequest,
 };
 use tpi_serve::{JobService, JobStatus, ServiceConfig};
 use tpi_workloads::industrial::{generate_industrial, IndustrialSpec};
@@ -225,7 +226,7 @@ pub enum Lane {
     Cold = 0,
     /// Pool repeat with byte-identity check.
     Warm = 1,
-    /// `SubmitMany` streaming batch.
+    /// Pipelined submits on one session.
     Pipeline = 2,
     /// Mutated frame injection.
     Fuzz = 3,
@@ -488,19 +489,17 @@ fn run_pipeline(shared: &Shared, driver: &mut Driver, rng: &mut StdRng) {
         Ok(c) => c,
         Err(e) => return net_error(shared, "pipeline", &e),
     };
-    match conn.submit_many(&reqs).and_then(|batch| conn.wait_batch(batch)) {
-        Ok(reports) => {
-            if reports.len() != count {
-                shared.violation(format!(
-                    "pipeline: batch of {count} answered with {} reports",
-                    reports.len()
-                ));
-            }
-            for r in &reports {
-                check_report(shared, "pipeline", r);
-            }
+    // Every request goes out before the first wait, so all of them
+    // are in flight on the one session at once.
+    let tickets = match reqs.iter().map(|r| conn.submit(r)).collect::<Result<Vec<_>, _>>() {
+        Ok(t) => t,
+        Err(e) => return net_error(shared, "pipeline", &e),
+    };
+    for ticket in tickets {
+        match conn.wait(ticket) {
+            Ok(report) => check_report(shared, "pipeline", &report),
+            Err(e) => return net_error(shared, "pipeline", &e),
         }
-        Err(e) => net_error(shared, "pipeline", &e),
     }
 }
 
@@ -514,12 +513,9 @@ fn run_fuzz(shared: &Shared, driver: &mut Driver, rng: &mut StdRng) {
         &WireRequest::full_scan(".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n")
             .encode(),
     );
-    let many = encode_frame_v2(
-        Verb::SubmitMany,
-        rng.gen(),
-        &SubmitMany { requests: vec![WireRequest::full_scan("bogus")] }.encode(),
-    );
-    let corpus = [small, submit, many];
+    let fetch =
+        encode_frame_v2(Verb::PeerFetch, rng.gen(), &CacheLookup { key: 0x7E57_CAFE }.encode());
+    let corpus = [small, submit, fetch];
     let base = &corpus[rng.gen_range(0..corpus.len())];
     let other = &corpus[rng.gen_range(0..corpus.len())];
     let (mutation, mutant) = fuzz::mutate(rng, base, other);
